@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timescale import Grid, ProductGridFunction
+from .timescale import Grid, GridFunction, coordinates
 
 FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 
@@ -359,17 +359,13 @@ def evaluate(e: Expression, x: Sequence[float], u: float) -> float:
 
 
 def nemytskii(
-    e: Expression, grids: Sequence[Grid], u: ProductGridFunction
-) -> ProductGridFunction:
+    e: Expression, grids: Sequence[Grid], u: GridFunction
+) -> GridFunction:
     """Pointwise substitution (Fu)(x) = f(x, u(x)) on the closed grid."""
     grids = tuple(grids)
-    if tuple(u.grids) != grids:
+    if u.grids != grids:
         raise ValueError("grid function does not live on the given grids")
-    shape = tuple(len(g.points) for g in grids)
-    xs = [
-        g.points.reshape([-1 if d == ax else 1 for d in range(len(grids))])
-        for ax, g in enumerate(grids)
-    ]
+    xs, shape = coordinates(grids)
     try:
         vals = evaluate_arrays(e, xs, u.values)
     except EvaluationError as err:
@@ -381,7 +377,7 @@ def nemytskii(
             where = f" at grid point {point}"
         raise EvaluationError(f"{err}{where}") from None
     vals = np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
-    return ProductGridFunction(grids, vals)
+    return GridFunction(grids, vals)
 
 
 # --- growth hypotheses ----------------------------------------------------
@@ -429,11 +425,7 @@ def estimate_lipschitz(
         raise ValueError("need at least 2 samples")
     lo, hi = u_range
     grids = tuple(grids)
-    shape = tuple(len(g.points) for g in grids)
-    xs = [
-        g.points.reshape([-1 if d == ax else 1 for d in range(len(grids))])
-        for ax, g in enumerate(grids)
-    ]
+    xs, shape = coordinates(grids)
     best = 0.0
     for uv in np.linspace(lo, hi, samples):
         d = 1e-6 * max(1.0, abs(uv))
@@ -462,11 +454,7 @@ def check_one_sided(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     grids = tuple(grids)
-    shape = tuple(len(g.points) for g in grids)
-    xs = [
-        g.points.reshape([-1 if d == ax else 1 for d in range(len(grids))])
-        for ax, g in enumerate(grids)
-    ]
+    xs, shape = coordinates(grids)
     for eta in np.linspace(u_range[0], u_range[1], samples):
         lhs = np.asarray(evaluate_arrays(e, xs, np.float64(eta))) * eta
         rhs = alpha * eta**2 + cbound

@@ -18,7 +18,6 @@ elimination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,8 @@ from .timescale import (
     Grid,
     GridFunction,
     GridMismatchError,
+    product_delta_inner,
+    product_delta_norm,
 )
 
 BOUNDARY_TOL = 1e-12
@@ -88,15 +89,10 @@ def apply(op: DirichletOperator1D, u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, full)
 
 
-def weighted_inner(u: GridFunction, v: GridFunction) -> float:
-    """Inner product <u, v> = sum of u_i v_i w_i in the grid weights."""
-    if u.grid != v.grid:
-        raise GridMismatchError("grid functions live on different grids")
-    return float(np.dot(u.values * v.values, u.grid.weights))
-
-
-def weighted_norm(u: GridFunction) -> float:
-    return math.sqrt(max(weighted_inner(u, u), 0.0))
+# <u, v> = sum of u_i v_i w_i in the grid weights; one implementation for
+# every dimension lives in timescale.
+weighted_inner = product_delta_inner
+weighted_norm = product_delta_norm
 
 
 @dataclass(frozen=True)

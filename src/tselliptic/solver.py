@@ -19,6 +19,7 @@ Three regimes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,8 +32,8 @@ from . import operator as op_mod
 from . import spectral as sp
 from .timescale import (
     Grid,
+    GridFunction,
     MeshParams,
-    ProductGridFunction,
     TimeScale,
     discretize,
     product_delta_norm,
@@ -90,31 +91,22 @@ class Problem:
                 f"nonlinearity uses x{nl.max_coordinate(self.f)} but the "
                 f"domain has dimension {len(self.axes)}"
             )
-        self._grids: tuple[Grid, ...] | None = None
-        self._spectra: tuple[sp.Spectrum1D, ...] | None = None
-        self._operators: tuple[op_mod.DirichletOperator1D, ...] | None = None
 
     @property
     def n(self) -> int:
         return len(self.axes)
 
-    @property
+    @functools.cached_property
     def grids(self) -> tuple[Grid, ...]:
-        if self._grids is None:
-            self._grids = tuple(discretize(ts, self.mesh) for ts in self.axes)
-        return self._grids
+        return tuple(discretize(ts, self.mesh) for ts in self.axes)
 
-    @property
+    @functools.cached_property
     def operators(self) -> tuple[op_mod.DirichletOperator1D, ...]:
-        if self._operators is None:
-            self._operators = tuple(op_mod.assemble(g) for g in self.grids)
-        return self._operators
+        return tuple(op_mod.assemble(g) for g in self.grids)
 
-    @property
+    @functools.cached_property
     def spectra(self) -> tuple[sp.Spectrum1D, ...]:
-        if self._spectra is None:
-            self._spectra = tuple(sp.spectrum_1d(g) for g in self.grids)
-        return self._spectra
+        return tuple(sp.spectrum_1d(g) for g in self.grids)
 
     @property
     def lambda1(self) -> float:
@@ -128,16 +120,13 @@ class Problem:
     def volume(self) -> float:
         return math.prod(ts.b - ts.a for ts in self.axes)
 
-    def constant_function(self, c: float) -> ProductGridFunction:
-        u = ProductGridFunction.zeros(self.grids)
-        vals = u.values.copy()
-        vals[tuple(slice(1, -1) for _ in self.grids)] = c
-        return ProductGridFunction(self.grids, vals)
+    def constant_function(self, c: float) -> GridFunction:
+        return GridFunction.zeros(self.grids).with_interior(c)
 
 
 @dataclass
 class Solution:
-    u: ProductGridFunction
+    u: GridFunction
     residual: float
     status: Status
     iterations: int
@@ -147,8 +136,8 @@ class Solution:
 
 
 def apply_operator(
-    ops: Sequence[op_mod.DirichletOperator1D], u: ProductGridFunction
-) -> ProductGridFunction:
+    ops: Sequence[op_mod.DirichletOperator1D], u: GridFunction
+) -> GridFunction:
     """Kronecker-sum action of the per-axis Dirichlet operators."""
     v = u.interior
     out = np.zeros_like(v)
@@ -164,8 +153,8 @@ def apply_operator(
 
 
 def spectral_inverse(
-    spectra: Sequence[sp.Spectrum1D], f: ProductGridFunction
-) -> ProductGridFunction:
+    spectra: Sequence[sp.Spectrum1D], f: GridFunction
+) -> GridFunction:
     """Exact inverse of the Kronecker-sum operator via eigenexpansion.
 
     Transforms f into the tensor eigenbasis one axis at a time, divides by
@@ -189,7 +178,7 @@ def spectral_inverse(
     return f.with_interior(coeff)
 
 
-def residual(problem: Problem, u: ProductGridFunction) -> float:
+def residual(problem: Problem, u: GridFunction) -> float:
     """Norm of Au + F(u) over interior points, in the grid weights.
 
     Uses the direct tridiagonal operator action, independent of the
@@ -248,51 +237,42 @@ def picard_solve(problem: Problem) -> Solution:
         "lambda1_lower_bound": problem.lambda1_lower_bound,
     }
     u = problem.constant_function(cfg.initial_guess)
-    if ratio_bound >= 1.0 and not cfg.force:
-        return Solution(
-            u=u,
-            residual=residual(problem, u),
-            status=Status.NON_CONTRACTION,
-            iterations=0,
-            lambda1=lam1,
-            contraction_ratio=None,
-            diagnostics=diag,
-        )
-    prev_step = None
-    first_step = None
+    it = 0
     ratio = None
-    for it in range(1, cfg.max_iter + 1):
-        Fu = nl.nemytskii(problem.f, problem.grids, u)
-        u_next = spectral_inverse(problem.spectra, Fu.with_interior(-Fu.interior))
-        step = product_delta_norm(u_next.with_interior(u_next.interior - u.interior))
-        if prev_step is not None and prev_step > 0:
-            r = step / prev_step
-            ratio = r if ratio is None else max(ratio, r)
-        if first_step is None:
-            first_step = step
-        u = u_next
+    if ratio_bound >= 1.0 and not cfg.force:
+        status = Status.NON_CONTRACTION
         res = residual(problem, u)
-        if res <= cfg.residual_tol:
-            return Solution(
-                u=u,
-                residual=res,
-                status=Status.CONVERGED,
-                iterations=it,
-                lambda1=lam1,
-                contraction_ratio=ratio,
-                diagnostics=diag,
+    else:
+        status = Status.MAX_ITERATIONS
+        prev_step = None
+        first_step = None
+        for it in range(1, cfg.max_iter + 1):
+            Fu = nl.nemytskii(problem.f, problem.grids, u)
+            u_next = spectral_inverse(problem.spectra, Fu.with_interior(-Fu.interior))
+            step = product_delta_norm(
+                u_next.with_interior(u_next.interior - u.interior)
             )
-        if step > 1e6 * max(first_step, 1e-300):
-            diag["note"] = "diverged: step norm grew by more than 1e6"
-            break
-        if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
-            diag["note"] = "stalled: step below tolerance with residual above"
-            break
-        prev_step = step
+            if prev_step is not None and prev_step > 0:
+                r = step / prev_step
+                ratio = r if ratio is None else max(ratio, r)
+            if first_step is None:
+                first_step = step
+            u = u_next
+            res = residual(problem, u)
+            if res <= cfg.residual_tol:
+                status = Status.CONVERGED
+                break
+            if step > 1e6 * max(first_step, 1e-300):
+                diag["note"] = "diverged: step norm grew by more than 1e6"
+                break
+            if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
+                diag["note"] = "stalled: step below tolerance with residual above"
+                break
+            prev_step = step
     return Solution(
         u=u,
-        residual=residual(problem, u),
-        status=Status.MAX_ITERATIONS,
+        residual=res,
+        status=status,
         iterations=it,
         lambda1=lam1,
         contraction_ratio=ratio,
@@ -300,19 +280,12 @@ def picard_solve(problem: Problem) -> Solution:
     )
 
 
-def _df_du(problem: Problem, u: ProductGridFunction) -> np.ndarray:
+def _df_du(problem: Problem, u: GridFunction) -> np.ndarray:
     """Pointwise df/du on interior points by central differences."""
-    grids = problem.grids
-    xs = [
-        g.points.reshape([-1 if d == ax else 1 for d in range(len(grids))])
-        for ax, g in enumerate(grids)
-    ]
     d = 1e-6 * np.maximum(1.0, np.abs(u.values))
-    up = nl.evaluate_arrays(problem.f, xs, u.values + d)
-    dn = nl.evaluate_arrays(problem.f, xs, u.values - d)
-    shape = tuple(len(g.points) for g in grids)
-    full = (np.broadcast_to(up, shape) - np.broadcast_to(dn, shape)) / (2.0 * d)
-    return full[tuple(slice(1, -1) for _ in grids)]
+    up = nl.nemytskii(problem.f, problem.grids, GridFunction(u.grids, u.values + d))
+    dn = nl.nemytskii(problem.f, problem.grids, GridFunction(u.grids, u.values - d))
+    return GridFunction(u.grids, (up.values - dn.values) / (2.0 * d)).interior
 
 
 def _dense_operator(problem: Problem) -> np.ndarray:
@@ -323,7 +296,7 @@ def _dense_operator(problem: Problem) -> np.ndarray:
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
-        probe = ProductGridFunction.zeros(problem.grids).with_interior(
+        probe = GridFunction.zeros(problem.grids).with_interior(
             e.reshape(shape)
         )
         A[:, j] = apply_operator(problem.operators, probe).interior.ravel()
@@ -332,11 +305,11 @@ def _dense_operator(problem: Problem) -> np.ndarray:
 
 def _newton_correct(
     problem: Problem,
-    u: ProductGridFunction,
+    u: GridFunction,
     tau: float,
     max_iter: int,
     tol: float,
-) -> tuple[ProductGridFunction, bool]:
+) -> tuple[GridFunction, bool]:
     """Damped Newton on Au + tau F(u) = 0 for small dense systems."""
     shape = tuple(g.n_interior for g in problem.grids)
     d = int(np.prod(shape))
@@ -435,14 +408,7 @@ def homotopy_solve(problem: Problem) -> Solution:
             )
         if not ok:
             diag["last_good_tau"] = last_good_tau
-            return Solution(
-                u=u,
-                residual=residual(problem, u),
-                status=Status.MAX_ITERATIONS,
-                iterations=total_iters,
-                lambda1=lam1,
-                diagnostics=diag,
-            )
+            break
         nrm_sq = product_delta_norm(u) ** 2
         if nrm_sq > bound_sq:
             diag["last_good_tau"] = last_good_tau
@@ -450,17 +416,12 @@ def homotopy_solve(problem: Problem) -> Solution:
                 f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
                 f"bound {bound_sq:.6g} at tau = {tau:.3g}"
             )
-            return Solution(
-                u=u,
-                residual=residual(problem, u),
-                status=Status.MAX_ITERATIONS,
-                iterations=total_iters,
-                lambda1=lam1,
-                diagnostics=diag,
-            )
+            break
         last_good_tau = tau
     res = residual(problem, u)
-    status = Status.CONVERGED if res <= cfg.residual_tol else Status.MAX_ITERATIONS
+    # tau = J / J is exactly 1.0 once every continuation step has succeeded
+    converged = last_good_tau == 1.0 and res <= cfg.residual_tol
+    status = Status.CONVERGED if converged else Status.MAX_ITERATIONS
     return Solution(
         u=u,
         residual=res,
@@ -590,7 +551,7 @@ def enumerate_small(
     candidates = _dedupe(u[finite], 1e-6, exact=False)
     solutions = []
     for root in roots:
-        gf = ProductGridFunction.zeros(problem.grids).with_interior(
+        gf = GridFunction.zeros(problem.grids).with_interior(
             root.reshape(shape)
         )
         solutions.append(

@@ -33,7 +33,6 @@ from .timescale import (
     GridFunction,
     GridMismatchError,
     Interval,
-    ProductGridFunction,
     TimeScale,
 )
 
@@ -242,13 +241,13 @@ class TensorSpectrum:
     def eigenvalues(self) -> np.ndarray:
         return np.array([lam for _, lam in self.entries])
 
-    def eigenfunction(self, entry: int) -> ProductGridFunction:
+    def eigenfunction(self, entry: int) -> GridFunction:
         """Product eigenfunction of the given entry (0-based)."""
         idx, _ = self.entries[entry]
         vals = self.axes[0].phis[idx[0] - 1]
         for ax, p in zip(self.axes[1:], idx[1:]):
             vals = np.multiply.outer(vals, ax.phis[p - 1])
-        return ProductGridFunction(tuple(ax.grid for ax in self.axes), vals)
+        return GridFunction(tuple(ax.grid for ax in self.axes), vals)
 
 
 def tensor_spectrum(axes: Sequence[Spectrum1D], K: int) -> TensorSpectrum:
@@ -316,7 +315,7 @@ def reconstruct(spec: Spectrum1D | TensorSpectrum, c: np.ndarray):
     vals = coeff
     for d, ax in enumerate(spec.axes):
         vals = np.moveaxis(np.tensordot(ax.phis.T, vals, axes=([1], [d])), 0, d)
-    return ProductGridFunction(tuple(ax.grid for ax in spec.axes), vals)
+    return GridFunction(tuple(ax.grid for ax in spec.axes), vals)
 
 
 def lambda1_lower_bound(domain: TimeScale | Sequence[TimeScale]) -> float:

@@ -389,55 +389,92 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     return Grid(points=points, source=ts, mesh=mesh)
 
 
+def _axes(grids: Grid | Sequence[Grid]) -> tuple[Grid, ...]:
+    return (grids,) if isinstance(grids, Grid) else tuple(grids)
+
+
+def _shape(grids: Sequence[Grid]) -> tuple[int, ...]:
+    return tuple(len(g.points) for g in grids)
+
+
+def coordinates(grids: Sequence[Grid]) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Each axis's points shaped to broadcast over the closed product grid,
+    and the shape of that grid."""
+    n = len(grids)
+    xs = [
+        g.points.reshape([-1 if d == ax else 1 for d in range(n)])
+        for ax, g in enumerate(grids)
+    ]
+    return xs, _shape(grids)
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values attached to every point of a grid."""
+    """Real values on the closed product of per-axis grids.
 
-    grid: Grid
+    ``values[i1, ..., in]`` sits at the point
+    (grids[0].points[i1], ..., grids[-1].points[in]).  A one-dimensional
+    function is the product with one axis: a bare :class:`Grid` passed as
+    ``grids`` means ``(grid,)``, and :attr:`grid` returns that axis.
+    """
+
+    grids: tuple[Grid, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        grids = _axes(self.grids)
+        object.__setattr__(self, "grids", grids)
         vals = np.array(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid with "
-                f"{len(self.grid.points)} points"
-            )
+        expected = _shape(grids)
+        if vals.shape != expected:
+            raise ValueError(f"values shape {vals.shape}, grids imply {expected}")
 
     @staticmethod
     def from_callable(grid: Grid, fn: Callable[[float], float]) -> "GridFunction":
         return GridFunction(grid, np.array([fn(t) for t in grid.points]))
 
     @staticmethod
-    def zeros(grid: Grid) -> "GridFunction":
-        return GridFunction(grid, np.zeros(len(grid.points)))
+    def zeros(grids: Grid | Sequence[Grid]) -> "GridFunction":
+        grids = _axes(grids)
+        return GridFunction(grids, np.zeros(_shape(grids)))
+
+    @property
+    def grid(self) -> Grid:
+        """The axis of a one-dimensional function."""
+        if len(self.grids) != 1:
+            raise ValueError(f"function has {len(self.grids)} axes, not one")
+        return self.grids[0]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.grids)
 
     @property
     def interior(self) -> np.ndarray:
-        return self.values[1:-1]
+        return self.values[tuple(slice(1, -1) for _ in self.grids)]
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
+    def with_interior(self, interior: np.ndarray) -> "GridFunction":
+        vals = np.zeros(self.values.shape)
+        vals[tuple(slice(1, -1) for _ in self.grids)] = interior
+        return GridFunction(self.grids, vals)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
+    def boundary_max(self) -> float:
+        """Largest absolute value on the boundary of the closed product."""
+        mask = np.zeros(self.values.shape, dtype=bool)
+        for ax in range(self.ndim):
+            sl0 = [slice(None)] * self.ndim
+            sl0[ax] = 0
+            mask[tuple(sl0)] = True
+            sl0[ax] = -1
+            mask[tuple(sl0)] = True
+        if not mask.any():
+            return 0.0
+        return float(np.abs(self.values[mask]).max())
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
 
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-
-def _same_grid(u: GridFunction, v: GridFunction) -> None:
-    if u.grid != v.grid:
-        raise GridMismatchError("grid functions live on different grids")
+ProductGridFunction = GridFunction
 
 
 def delta_integral(u: GridFunction) -> float:
@@ -466,70 +503,16 @@ def nabla_derivative(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, out)
 
 
-# ---------------------------------------------------------------------------
-# Product (n-dimensional) grids
+def product_delta_inner(u: GridFunction, v: GridFunction) -> float:
+    """Inner product sum of u v w over the closed grid, where w is the tensor
+    product of the per-axis grid weights (:attr:`Grid.weights`).
 
-
-@dataclass(frozen=True, eq=False)
-class ProductGridFunction:
-    """Values on the closed product of per-axis grids.
-
-    ``values[i1, ..., in]`` sits at the point
-    (grids[0].points[i1], ..., grids[-1].points[in]).  The inner product
-    weights each axis by its grid's ``weights``.
+    The measure is the grid weights, not the delta measure ``mu``: the two
+    differ where an interval meets a scattered gap.  The name is kept
+    because ``bench/tracing.py`` traces this module's functions by name.
     """
-
-    grids: tuple[Grid, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        grids = tuple(self.grids)
-        object.__setattr__(self, "grids", grids)
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        expected = tuple(len(g.points) for g in grids)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape}, grids imply {expected}")
-
-    @staticmethod
-    def zeros(grids: Sequence[Grid]) -> "ProductGridFunction":
-        return ProductGridFunction(
-            tuple(grids), np.zeros(tuple(len(g.points) for g in grids))
-        )
-
-    @property
-    def ndim(self) -> int:
-        return len(self.grids)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[tuple(slice(1, -1) for _ in self.grids)]
-
-    def with_interior(self, interior: np.ndarray) -> "ProductGridFunction":
-        vals = np.zeros(tuple(len(g.points) for g in self.grids))
-        vals[tuple(slice(1, -1) for _ in self.grids)] = interior
-        return ProductGridFunction(self.grids, vals)
-
-    def boundary_max(self) -> float:
-        """Largest absolute value on the boundary of the closed product."""
-        mask = np.zeros(self.values.shape, dtype=bool)
-        for ax in range(self.ndim):
-            sl0 = [slice(None)] * self.ndim
-            sl0[ax] = 0
-            mask[tuple(sl0)] = True
-            sl0[ax] = -1
-            mask[tuple(sl0)] = True
-        if not mask.any():
-            return 0.0
-        return float(np.abs(self.values[mask]).max())
-
-
-def product_delta_inner(u: ProductGridFunction, v: ProductGridFunction) -> float:
-    """Inner product on the product domain in the tensor of the per-axis
-    grid weights (see :attr:`Grid.weights`)."""
     if u.grids != v.grids:
-        raise GridMismatchError("product grid functions live on different grids")
+        raise GridMismatchError("grid functions live on different grids")
     w = u.values * v.values
     for ax, g in enumerate(u.grids):
         shape = [1] * u.ndim
@@ -538,5 +521,5 @@ def product_delta_inner(u: ProductGridFunction, v: ProductGridFunction) -> float
     return float(w.sum())
 
 
-def product_delta_norm(u: ProductGridFunction) -> float:
+def product_delta_norm(u: GridFunction) -> float:
     return math.sqrt(max(product_delta_inner(u, u), 0.0))

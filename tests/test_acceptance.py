@@ -169,7 +169,7 @@ def test_criterion_05_hybrid_linear_solve():
         (
             "max interior deviation <= 5e-5",
             dev <= 5e-5,
-            f"dev {dev:.3e} (left-point measure gives h/3 at the junction)",
+            f"dev {dev:.3e}",
         ),
     ]
     report("criterion 5: hybrid linear solve at h = 1e-3", checks)

@@ -131,8 +131,9 @@ class TestPicard:
         t = p.grids[0].points
         exact = np.where(t <= 1.0, (3 * t**2 - 11 * t) / 6.0, -7.0 / 6.0)
         exact[-1] = 0.0
-        # first-order junction error: h/3 plus margin
-        assert np.abs(sol.u.values - exact)[1:-1].max() <= 5e-3 / 3 * 1.3
+        # the grid weights make the scheme exact for this piecewise
+        # quadratic, at the junction t = 1 too, so only rounding remains
+        assert np.abs(sol.u.values - exact)[1:-1].max() <= 1e-9
 
     def test_contraction_iteration(self):
         p = make_problem(

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from tselliptic.nonlinearity import nemytskii, parse
+from tselliptic.operator import assemble, tridiag_solve, weighted_inner
+from tselliptic.solver import spectral_inverse
+from tselliptic.spectral import spectrum_1d
 from tselliptic.timescale import (
     DomainError,
     EmptyInteriorError,
@@ -10,15 +14,17 @@ from tselliptic.timescale import (
     Interval,
     MeshParams,
     Point,
+    ProductGridFunction,
     TimeScale,
     delta_derivative,
     delta_integral,
     discretize,
     nabla_derivative,
     nabla_integral,
+    product_delta_inner,
 )
 
-from conftest import random_grid
+from conftest import random_dirichlet, random_grid
 
 
 DISCRETE = TimeScale.parse("0,1,2,3")
@@ -248,3 +254,32 @@ class TestValidation:
             u.values[1] = 5.0
         with pytest.raises(ValueError):
             g.points[0] = -1.0
+
+
+class TestOneAxisProduct:
+    """A one-dimensional grid function is the product with one axis."""
+
+    def test_interchangeable_on_random_grids(self, rng):
+        f = parse("u^3 - x1")
+        for _ in range(20):
+            g = random_grid(rng)
+            u = random_dirichlet(rng, g)
+            p = ProductGridFunction((g,), u.values)
+            assert p.grids == u.grids == (g,)
+            assert p.grid is g
+            assert np.array_equal(p.values, u.values)
+            v = GridFunction(g, rng.standard_normal(len(g.points)))
+            assert weighted_inner(u, v) == product_delta_inner(p, v)
+            Fu = nemytskii(f, (g,), u)
+            assert np.array_equal(Fu.values, u.values**3 - g.points)
+            y = spectral_inverse([spectrum_1d(g)], u)
+            ref = tridiag_solve(assemble(g), u)
+            scale = np.abs(ref.values).max()
+            assert np.abs(y.values - ref.values).max() <= 1e-10 * scale
+
+    def test_grid_needs_one_axis(self):
+        g = discretize(DISCRETE)
+        u = GridFunction.zeros((g, g))
+        assert u.grids == (g, g)
+        with pytest.raises(ValueError):
+            u.grid
