@@ -176,24 +176,17 @@ def _resolve_output(args, cfg: dict | None) -> tuple[Path | None, str]:
 
 
 def cmd_spectrum(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     cfg = load_config(args.config)
     problem, _ = build_problem(cfg, h_override=args.h)
-    k = args.k
     outdir, fmt = _resolve_output(args, cfg)
 
-    if problem.n == 1:
-        spec = problem.spectra[0]
-        count = spec.count if k is None else min(k, spec.count)
-        lams = spec.eigenvalues[:count]
-        entries = [((i + 1,), float(l)) for i, l in enumerate(lams)]
-    else:
-        K = k if k is not None else 8
-        tensor = sp.tensor_spectrum(problem.spectra, K)
-        entries = [(idx, float(l)) for idx, l in tensor.entries]
-        lams = np.array([l for _, l in entries])
+    k = args.k or (problem.spectra[0].count if problem.n == 1 else 8)
+    entries = sp.tensor_spectrum(problem.spectra, k).entries
 
     lower = problem.lambda1_lower_bound
-    print(",".join(format(l, ".12g") for l in lams))
+    print(",".join(format(l, ".12g") for _, l in entries))
     print(f"lambda1 = {problem.lambda1:.12g}")
     print(f"lower bound = {lower:.12g}")
     shoot_lam1 = None
@@ -221,7 +214,7 @@ def cmd_spectrum(args) -> int:
             )
             if problem.n == 1:
                 spec = problem.spectra[0]
-                for i in range(len(lams)):
+                for i in range(len(entries)):
                     _write_csv(
                         outdir / f"eigenfunction_{i + 1:02d}.csv",
                         ["t", "phi"],

@@ -2,8 +2,9 @@
 
 The problem -Laplacian(u) + f(x, u) = 0 with zero boundary values is the
 operator equation Au = -F(u), so the fixed-point map iterated here is
-u <- Ainv(-F(u)).  Ainv is realized by per-axis eigendecompositions
-(Kronecker-sum diagonalization), which is exact in finite dimension.
+u <- Ainv(-F(u)).  One Kronecker-sum function applies A (the dense matrix
+of a small system is A applied to the identity); Ainv goes into the product
+eigenbasis one axis at a time and back, which is exact in finite dimension.
 
 Three regimes:
 
@@ -135,11 +136,9 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def apply_operator(
-    ops: Sequence[op_mod.DirichletOperator1D], u: GridFunction
-) -> GridFunction:
-    """Kronecker-sum action of the per-axis Dirichlet operators."""
-    v = u.interior
+def _kronecker_sum(ops: Sequence[op_mod.DirichletOperator1D], v) -> np.ndarray:
+    """Kronecker-sum action on the leading ``len(ops)`` axes of an interior
+    array; trailing axes ride along, so a stack of vectors goes at once."""
     out = np.zeros_like(v)
     for ax, op in enumerate(ops):
         w = np.moveaxis(v, ax, 0)
@@ -149,7 +148,14 @@ def apply_operator(
         if len(op.diag) > 1:
             o[:-1] += op.sup[:-1].reshape(shape) * w[1:]
             o[1:] += op.sub[1:].reshape(shape) * w[:-1]
-    return u.with_interior(out)
+    return out
+
+
+def apply_operator(
+    ops: Sequence[op_mod.DirichletOperator1D], u: GridFunction
+) -> GridFunction:
+    """Kronecker-sum action of the per-axis Dirichlet operators."""
+    return u.with_interior(_kronecker_sum(ops, u.interior))
 
 
 def spectral_inverse(
@@ -161,21 +167,10 @@ def spectral_inverse(
     the eigenvalue sums, and transforms back; satisfies
     ||Ainv f|| <= ||f|| / lambda_1.
     """
-    spectra = tuple(spectra)
-    coeff = f.interior
-    for ax, s in enumerate(spectra):
-        analysis = s.phis[:, 1:-1] * s.grid.weights[1:-1]
-        coeff = np.moveaxis(np.tensordot(analysis, coeff, axes=([1], [ax])), 0, ax)
-    lam = np.zeros(coeff.shape)
-    for ax, s in enumerate(spectra):
-        shape = [1] * coeff.ndim
-        shape[ax] = s.count
-        lam = lam + s.eigenvalues.reshape(shape)
-    coeff = coeff / lam
-    for ax, s in enumerate(spectra):
-        synth = s.phis[:, 1:-1].T
-        coeff = np.moveaxis(np.tensordot(synth, coeff, axes=([1], [ax])), 0, ax)
-    return f.with_interior(coeff)
+    weights = [s.grid.weights[1:-1] for s in spectra]
+    coeff = sp._axis_apply(f.interior, [s.phis[:, 1:-1] for s in spectra], weights)
+    coeff /= functools.reduce(np.add.outer, [s.eigenvalues for s in spectra])
+    return f.with_interior(sp._axis_apply(coeff, [s._synthesis for s in spectra]))
 
 
 def residual(problem: Problem, u: GridFunction) -> float:
@@ -262,6 +257,9 @@ def picard_solve(problem: Problem) -> Solution:
             if res <= cfg.residual_tol:
                 status = Status.CONVERGED
                 break
+            if not (math.isfinite(step) and math.isfinite(res)):
+                diag["note"] = "non-finite: step or residual is NaN or infinite"
+                break
             if step > 1e6 * max(first_step, 1e-300):
                 diag["note"] = "diverged: step norm grew by more than 1e6"
                 break
@@ -291,16 +289,9 @@ def _df_du(problem: Problem, u: GridFunction) -> np.ndarray:
 def _dense_operator(problem: Problem) -> np.ndarray:
     """Materialize the Kronecker-sum operator (small systems only)."""
     shape = tuple(g.n_interior for g in problem.grids)
-    d = int(np.prod(shape))
-    A = np.zeros((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        probe = GridFunction.zeros(problem.grids).with_interior(
-            e.reshape(shape)
-        )
-        A[:, j] = apply_operator(problem.operators, probe).interior.ravel()
-    return A
+    d = math.prod(shape)
+    probes = np.eye(d).reshape(shape + (d,))
+    return _kronecker_sum(problem.operators, probes).reshape(d, d)
 
 
 def _newton_correct(
@@ -312,9 +303,6 @@ def _newton_correct(
 ) -> tuple[GridFunction, bool]:
     """Damped Newton on Au + tau F(u) = 0 for small dense systems."""
     shape = tuple(g.n_interior for g in problem.grids)
-    d = int(np.prod(shape))
-    if d > 600:
-        return u, False
     A = _dense_operator(problem)
     vec = u.interior.ravel().copy()
     for _ in range(max_iter):
@@ -402,7 +390,9 @@ def homotopy_solve(problem: Problem) -> Solution:
                 omega = max(omega / 2.0, 1.0 / 64.0)
             u = u.with_interior(u.interior + omega * step_vec)
             prev_step = step
-        if not ok:
+        if not ok and u.interior.size > 600:
+            diag["note"] = f"dense Newton skipped: {u.interior.size} unknowns > 600"
+        elif not ok:
             u, ok = _newton_correct(
                 problem, u, tau, max_iter=60, tol=cfg.residual_tol * 1e-2
             )

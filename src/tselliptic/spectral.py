@@ -12,11 +12,14 @@ Two independent routes to the eigenvalues:
 
 Agreement of the two certifies the mesh; disagreement measures it.
 Product-domain eigenvalues are sums of per-axis ones and are enumerated
-best-first over the multi-index lattice.
+best-first over the multi-index lattice.  A :class:`Spectrum1D` is also the
+one-axis :class:`TensorSpectrum`, and every transform into or out of an
+eigenbasis applies one matrix along each axis (:func:`_axis_apply`).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -98,6 +101,23 @@ class Spectrum1D:
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def axes(self) -> tuple[Spectrum1D]:
+        return (self,)
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int], float], ...]:
+        """1-based indices with eigenvalues, as in :class:`TensorSpectrum`."""
+        return tuple(((i + 1,), lam) for i, lam in enumerate(self.eigenvalues))
+
+    @functools.cached_property
+    def _synthesis(self) -> np.ndarray:
+        """Interior eigenfunctions as C-contiguous columns, copied on first use.
+        Each synthesized value is then one dot product over the modes; summing
+        mode by mode through a strided view rounds differently, and a solve
+        that sits at its residual floor can change outcome."""
+        return np.ascontiguousarray(self.phis[:, 1:-1].T)
 
     def phi(self, k: int) -> GridFunction:
         """k-th eigenfunction (0-based) as a grid function."""
@@ -271,10 +291,8 @@ def tensor_spectrum(axes: Sequence[Spectrum1D], K: int) -> TensorSpectrum:
                 nxt = idx[:d] + (idx[d] + 1,) + idx[d + 1 :]
                 if nxt not in seen:
                     seen.add(nxt)
-                    lam_next = lam - axes[d].eigenvalues[idx[d] - 1] + axes[
-                        d
-                    ].eigenvalues[idx[d]]
-                    heapq.heappush(heap, (lam_next, nxt))
+                    ev = axes[d].eigenvalues
+                    heapq.heappush(heap, (lam - ev[idx[d] - 1] + ev[idx[d]], nxt))
     return TensorSpectrum(axes=axes, entries=tuple(entries), exhausted=K >= total)
 
 
@@ -282,39 +300,37 @@ def tensor_spectrum(axes: Sequence[Spectrum1D], K: int) -> TensorSpectrum:
 # Expansion in the eigenbasis
 
 
+def _axis_apply(x: np.ndarray, mats, weights=None) -> np.ndarray:
+    """Apply ``mats[d]`` along axis d of x, scaling that axis by ``weights[d]``
+    first when given; each step is one matrix product on x as (before, n_d, after)."""
+    for d, m in enumerate(mats):
+        shape = x.shape
+        x = x.reshape(math.prod(shape[:d]), shape[d], -1)
+        if weights is not None:
+            x = x * weights[d][:, None]
+        # matmul would loop over the rows of a last axis; one product instead
+        y = x[..., 0] @ m.T if x.shape[2] == 1 else m @ x
+        x = y.reshape(shape[:d] + (m.shape[0],) + shape[d + 1 :])
+    return x
+
+
 def expand(spec: Spectrum1D | TensorSpectrum, f) -> np.ndarray:
     """Fourier coefficients <f, phi_k> in the grid weights."""
-    if isinstance(spec, Spectrum1D):
-        if f.grid != spec.grid:
-            raise GridMismatchError("function grid does not match spectrum grid")
-        return (spec.phis * spec.grid.weights) @ f.values
     if tuple(f.grids) != tuple(ax.grid for ax in spec.axes):
         raise GridMismatchError("function grids do not match spectrum axes")
-    coeff = f.values
-    for d, ax in enumerate(spec.axes):
-        analysis = ax.phis * ax.grid.weights
-        coeff = np.moveaxis(
-            np.tensordot(analysis, coeff, axes=([1], [d])), 0, d
-        )
-    return np.array([coeff[tuple(p - 1 for p in idx)] for idx, _ in spec.entries])
+    mats = [ax.phis for ax in spec.axes]
+    coeff = _axis_apply(f.values, mats, [ax.grid.weights for ax in spec.axes])
+    return coeff[tuple(np.array([idx for idx, _ in spec.entries]).T - 1)]
 
 
-def reconstruct(spec: Spectrum1D | TensorSpectrum, c: np.ndarray):
+def reconstruct(spec: Spectrum1D | TensorSpectrum, c: np.ndarray) -> GridFunction:
     """Sum of c_k phi_k; inverse of :func:`expand` on a complete spectrum."""
     c = np.asarray(c, dtype=float)
-    if isinstance(spec, Spectrum1D):
-        if len(c) != spec.count:
-            raise ValueError("coefficient count does not match spectrum")
-        return GridFunction(spec.grid, c @ spec.phis)
     if len(c) != len(spec.entries):
         raise ValueError("coefficient count does not match spectrum entries")
-    shape = tuple(ax.count for ax in spec.axes)
-    coeff = np.zeros(shape)
-    for ck, (idx, _) in zip(c, spec.entries):
-        coeff[tuple(p - 1 for p in idx)] += ck
-    vals = coeff
-    for d, ax in enumerate(spec.axes):
-        vals = np.moveaxis(np.tensordot(ax.phis.T, vals, axes=([1], [d])), 0, d)
+    coeff = np.zeros(tuple(ax.count for ax in spec.axes))
+    coeff[tuple(np.array([idx for idx, _ in spec.entries]).T - 1)] = c
+    vals = _axis_apply(coeff, [ax.phis.T for ax in spec.axes])
     return GridFunction(tuple(ax.grid for ax in spec.axes), vals)
 
 

@@ -95,6 +95,22 @@ class TestSpectrum:
         assert payload["eigenvalues"][0]["lambda"] == 1.0
         assert payload["lambda1_lower_bound"] == pytest.approx(4 / 9)
 
+    @pytest.mark.parametrize(
+        "axes, k",
+        [
+            (["0,1,2,3", "0,1,2,3"], "0"),
+            (["0,1,2,3,4,5,6,7,8,9"], "-2"),
+            (["0,1,2,3"], "0"),
+        ],
+    )
+    def test_k_below_one_exit_3(self, tmp_path, capsys, axes, k):
+        cfg = write_config(tmp_path, axes=axes)
+        assert cli.main(["spectrum", "--config", cfg, "--k", k]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--k must be at least 1" in captured.err
+
     def test_h_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, axes=["[0,3]"])
         assert cli.main(["spectrum", "--config", cfg, "--k", "1", "--h", "0.001"]) == 0

@@ -9,6 +9,7 @@ from tselliptic.solver import (
     Problem,
     SolverConfig,
     Status,
+    _dense_operator,
     apply_operator,
     apriori_radius,
     enumerate_small,
@@ -79,6 +80,19 @@ class TestSpectralInverse:
                 <= product_delta_norm(f) / p.lambda1 + 1e-10
             )
 
+    def test_3d_unequal_axes_match_dense_solve(self, rng):
+        p = make_problem(
+            ["[0,1],2,3", "0,0.5,2,3", "[0,2]"], "0", mesh=MeshParams(h=0.25)
+        )
+        shape = tuple(g.n_interior for g in p.grids)
+        assert len(set(shape)) == 3
+        f = ProductGridFunction.zeros(p.grids).with_interior(
+            rng.standard_normal(shape)
+        )
+        u = spectral_inverse(p.spectra, f)
+        exact = np.linalg.solve(_dense_operator(p), f.interior.ravel())
+        assert np.abs(u.interior.ravel() - exact).max() <= 1e-12
+
 
 class TestApplyOperator:
     def test_3d_diagonal_coefficient(self):
@@ -102,6 +116,22 @@ class TestApplyOperator:
             quad = product_delta_inner(apply_operator(p.operators, u), u)
             nrm2 = product_delta_inner(u, u)
             assert quad >= p.lambda1 * nrm2 - 1e-10 * (1.0 + abs(quad))
+
+    @pytest.mark.parametrize(
+        "axes", [["[0,1],2,3"], ["0,1,2,3", "[0,1],2"], ["0,1,2,3", "0,2,3", "[0,1],2"]]
+    )
+    def test_dense_operator_equals_unit_vector_probes(self, axes):
+        p = make_problem(axes, "0", mesh=MeshParams(h=0.25))
+        shape = tuple(g.n_interior for g in p.grids)
+        d = math.prod(shape)
+        # oracle: one apply_operator call per unit vector
+        probed = np.zeros((d, d))
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = 1.0
+            probe = ProductGridFunction.zeros(p.grids).with_interior(e.reshape(shape))
+            probed[:, j] = apply_operator(p.operators, probe).interior.ravel()
+        assert np.array_equal(_dense_operator(p), probed)
 
 
 class TestPicard:
@@ -158,6 +188,16 @@ class TestPicard:
         )
         sol = picard_solve(p)
         assert sol.status is Status.MAX_ITERATIONS
+
+    def test_non_finite_stops_with_note(self):
+        p = make_problem(
+            ["[0,1],2,3"], "a*sin(u)+1", bindings={"a": math.nan},
+            mesh=MeshParams(h=1e-2), hyp=GrowthHypotheses(L=0.5),
+        )
+        sol = picard_solve(p)
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations <= 3
+        assert "non-finite" in sol.diagnostics["note"]
 
     def test_requires_lipschitz(self):
         p = make_problem(["0,1,2,3"], "sin(u)")
@@ -365,6 +405,22 @@ class TestHomotopy:
         assert ok
         assert np.abs(u.interior - 2.1478990436).max() <= 1e-8
         assert residual(p, u) <= 1e-10
+
+    def test_skipped_newton_correction_reported(self):
+        # tau = 1 in one step: the inner iteration contracts by about 0.98
+        # and cannot converge in its 200 steps, and 666 unknowns are too
+        # many for the dense Newton corrector
+        p = make_problem(
+            ["[0,1]"], "-9.7*u + 1", mesh=MeshParams(h=1.5e-3),
+            hyp=GrowthHypotheses(alpha=0.0, cbound=100.0),
+            config=SolverConfig(max_iter=200, homotopy_steps=1, assume_hypotheses=True),
+        )
+        assert p.grids[0].n_interior == 666
+        sol = homotopy_solve(p)
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.diagnostics["last_good_tau"] == 0.0
+        note = sol.diagnostics["note"]
+        assert "Newton skipped" in note and "666 unknowns" in note
 
     def test_bound_violation_surfaced_not_hidden(self):
         # f = -3u/(1+u^2) - 1 satisfies the one-sided pair (0.5, 1), yet

@@ -353,6 +353,20 @@ class TestExpansion:
             norm_sq = float(np.dot(f.values**2, g.weights))
             assert abs((c**2).sum() - norm_sq) <= 1e-9 * (1.0 + norm_sq)
 
+    def test_spectrum_1d_is_one_axis_tensor(self, rng):
+        # a 1D spectrum reads as the one-axis tensor spectrum, so both give
+        # the same coefficients and the same reconstruction
+        for _ in range(20):
+            g = random_grid(rng)
+            s = spectrum_1d(g)
+            t = tensor_spectrum([s], s.count)
+            assert s.axes == (s,)
+            assert s.entries == t.entries
+            f = random_dirichlet(rng, g)
+            c = expand(s, f)
+            assert np.array_equal(c, expand(t, f))
+            assert np.array_equal(reconstruct(s, c).values, reconstruct(t, c).values)
+
     def test_interior_ones_coefficients(self):
         # f = 1 at the interior points of {0,1,2,3}: c = (sqrt(2), 0)
         g = discretize(DISCRETE)
