@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,16 +28,40 @@ from . import nonlinearity as nl
 from . import operator as op_mod
 from . import solver as sv
 from . import spectral as sp
-from .timescale import (
-    GridFunction,
-    MeshParams,
-    TimeScale,
-    discretize,
-)
+from .timescale import GridFunction, MeshParams, TimeScale
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG = 3
+
+METHODS = ("picard", "homotopy", "enumerate")
+FORMATS = ("csv", "json")
+
+# The config format.  A dict is an object with those keys ({str: T} takes
+# any key), [T] is a list of T, and a type is the JSON value a key takes.
+# Each solver key takes the type of its SolverConfig default.
+SCHEMA = {
+    "axes": [str],
+    "mesh": {"h": float, "counts": [int]},
+    "f": str,
+    "params": {str: float},
+    "hypotheses": {"L": float, "alpha": float, "C": float},
+    "solver": {
+        "method": str,
+        **{f.name: type(f.default) for f in dataclasses.fields(sv.SolverConfig)},
+    },
+    "output": {"dir": str, "formats": [str]},
+}
+# The JSON values of each type.  A bool is an int in Python, so true and
+# false pass where a bool is asked for and nowhere else.
+_KINDS = {
+    dict: (dict, "an object"),
+    list: (list, "a list"),
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
 
 
 class ConfigError(ValueError):
@@ -47,104 +72,85 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+def check_config(value, spec=SCHEMA, where: str = "config") -> None:
+    """Raise ConfigError at the first value of another JSON type than
+    ``spec`` asks for, or at the first key that it does not name."""
+    kind = type(spec) if isinstance(spec, (dict, list)) else spec
+    kinds, name = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+    if kind is dict:
+        for key, item in value.items():
+            if key not in spec and str not in spec:
+                raise ConfigError(f"unknown key {key!r} in {where}")
+            path = key if where == "config" else f"{where}.{key}"
+            check_config(item, spec.get(key, spec.get(str)), path)
+    elif kind is list:
+        for i, item in enumerate(value):
+            check_config(item, spec[0], f"{where}[{i}]")
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            return json.load(fh)
+    except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(
-        cfg, {"axes", "mesh", "f", "params", "hypotheses", "solver", "output"}, "config"
-    )
-    if "axes" not in cfg:
-        raise ConfigError("config needs 'axes': a list of time-scale literals")
-    return cfg
 
 
 def build_problem(cfg: dict, h_override: float | None = None) -> tuple[sv.Problem, str]:
-    """Translate a config dict into a Problem; returns (problem, method)."""
-    axes_lit = cfg["axes"]
-    if isinstance(axes_lit, str):
-        axes_lit = [axes_lit]
-    if not isinstance(axes_lit, list) or not axes_lit:
-        raise ConfigError("'axes' must be a nonempty list of strings")
-    try:
-        axes = [TimeScale.parse(s) for s in axes_lit]
-    except ValueError as err:
-        raise ConfigError(f"bad time-scale literal: {err}") from None
-
-    mesh_cfg = cfg.get("mesh", {})
-    _check_keys(mesh_cfg, {"h", "counts"}, "'mesh'")
-    try:
-        mesh = MeshParams(
-            h=h_override if h_override is not None else mesh_cfg.get("h"),
-            counts=tuple(mesh_cfg["counts"]) if "counts" in mesh_cfg else None,
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad mesh: {err}") from None
-
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object of named constants")
-    try:
-        f = nl.parse(cfg.get("f", "0"), bindings=params, dim=len(axes))
-    except nl.ParseError as err:
-        raise ConfigError(f"bad expression for f: {err}") from None
-
-    hyp_cfg = cfg.get("hypotheses", {})
-    _check_keys(hyp_cfg, {"L", "alpha", "C"}, "'hypotheses'")
-    try:
-        hypotheses = nl.GrowthHypotheses(
-            L=hyp_cfg.get("L"), alpha=hyp_cfg.get("alpha"), cbound=hyp_cfg.get("C")
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad hypotheses: {err}") from None
-
-    sol_cfg = dict(cfg.get("solver", {}))
-    _check_keys(
-        sol_cfg,
-        {
-            "method",
-            "step_tol",
-            "residual_tol",
-            "max_iter",
-            "homotopy_steps",
-            "initial_guess",
-            "accept_estimated_L",
-            "force",
-            "assume_hypotheses",
-            "box",
-            "density",
-        },
-        "'solver'",
-    )
-    method = sol_cfg.pop("method", "picard")
-    if method not in ("picard", "homotopy", "enumerate"):
+    """Check a config against SCHEMA and translate it into a Problem;
+    returns (problem, method)."""
+    check_config(cfg)
+    if "axes" not in cfg:
+        raise ConfigError("config needs 'axes': a list of time-scale literals")
+    mesh, hyp = cfg.get("mesh", {}), cfg.get("hypotheses", {})
+    solver = dict(cfg.get("solver", {}))
+    method = solver.pop("method", "picard")
+    if method not in METHODS:
         raise ConfigError(f"unknown solver method {method!r}")
     try:
-        config = sv.SolverConfig(**sol_cfg)
-    except TypeError as err:
-        raise ConfigError(f"bad solver config: {err}") from None
-
-    out_cfg = cfg.get("output", {})
-    _check_keys(out_cfg, {"dir", "formats"}, "'output'")
-
-    try:
+        axes = [TimeScale.parse(s) for s in cfg["axes"]]
         problem = sv.Problem(
-            axes=axes, f=f, mesh=mesh, hypotheses=hypotheses, config=config
+            axes=axes,
+            f=nl.parse(cfg.get("f", "0"), cfg.get("params"), len(axes)),
+            mesh=MeshParams(
+                h=mesh.get("h") if h_override is None else h_override,
+                counts=mesh.get("counts"),
+            ),
+            hypotheses=nl.GrowthHypotheses(*map(hyp.get, ("L", "alpha", "C"))),
+            config=sv.SolverConfig(**solver),
         )
-        problem.grids  # surface empty interiors and mesh errors up front
+        problem.grids  # surface empty interiors, mesh errors and the grid budget
+    except nl.ParseError as err:
+        raise ConfigError(f"bad expression for f: {err}") from None
     except ValueError as err:
         raise ConfigError(str(err)) from None
     return problem, method
+
+
+def run_method(problem: sv.Problem, method: str):
+    """A Solution of the named method, or an EnumerationResult."""
+    if method == "enumerate":
+        return sv.enumerate_small(
+            problem, box=problem.config.box, grid_density=problem.config.density
+        )
+    return (sv.picard_solve if method == "picard" else sv.homotopy_solve)(problem)
+
+
+def _json(obj, **kwargs) -> str:
+    """Strict JSON text; a NaN or an infinity is written as null."""
+    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -155,15 +161,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def _resolve_output(args, cfg: dict | None) -> tuple[Path | None, str]:
+def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
     """Command-line flags win; the config's output block supplies defaults."""
-    out_cfg = (cfg or {}).get("output", {})
+    out_cfg = cfg.get("output", {})
     out = args.out if args.out is not None else out_cfg.get("dir")
-    fmt = args.format if args.format is not None else None
-    if fmt is None:
-        formats = out_cfg.get("formats", [])
-        fmt = formats[0] if formats else "csv"
-    if fmt not in ("csv", "json"):
+    fmt = args.format or next(iter(out_cfg.get("formats", [])), "csv")
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     outdir = None
     if out is not None:
@@ -205,7 +208,7 @@ def cmd_spectrum(args) -> int:
             }
             if shoot_lam1 is not None:
                 payload["shooting_lambda1"] = shoot_lam1
-            (outdir / "spectrum.json").write_text(json.dumps(payload, indent=2))
+            (outdir / "spectrum.json").write_text(_json(payload, indent=2))
         else:
             _write_csv(
                 outdir / "eigenvalues.csv",
@@ -241,7 +244,7 @@ def _write_solution(outdir: Path, name: str, u: GridFunction, fmt: str):
             "axes": [[float(t) for t in g.points] for g in u.grids],
             "values": u.values.tolist(),
         }
-        (outdir / f"{name}.json").write_text(json.dumps(payload))
+        (outdir / f"{name}.json").write_text(_json(payload))
     else:
         _write_csv(outdir / f"{name}.csv", axis_names + ["u"], _solution_rows(u))
 
@@ -253,56 +256,44 @@ def cmd_solve(args) -> int:
         method = args.method
     outdir, fmt = _resolve_output(args, cfg)
 
-    diagnostics: dict
-    exit_code = EXIT_OK
     try:
-        if method == "enumerate":
-            result = sv.enumerate_small(
-                problem, box=problem.config.box, grid_density=problem.config.density
-            )
-            diagnostics = {
-                "method": method,
-                "status": result.status.value,
-                "lambda1": problem.lambda1,
-                "lambda1_lower_bound": problem.lambda1_lower_bound,
-                "solutions": [
-                    {
-                        "residual": s.residual,
-                        "interior": s.u.interior.ravel().tolist(),
-                    }
-                    for s in result.solutions
-                ],
-            }
-            if outdir is not None:
-                for i, s in enumerate(result.solutions, 1):
-                    _write_solution(outdir, f"solution_{i:02d}", s.u, fmt)
-            if not result.solutions:
-                exit_code = EXIT_NOT_CONVERGED
-        else:
-            solve_fn = sv.picard_solve if method == "picard" else sv.homotopy_solve
-            sol = solve_fn(problem)
-            diagnostics = {
-                "method": method,
-                "status": sol.status.value,
-                "residual": sol.residual,
-                "iterations": sol.iterations,
-                "lambda1": sol.lambda1,
-                "contraction_ratio": sol.contraction_ratio,
-                **sol.diagnostics,
-            }
-            if outdir is not None:
-                _write_solution(outdir, "solution", sol.u, fmt)
-            if sol.status is not sv.Status.CONVERGED:
-                exit_code = EXIT_NOT_CONVERGED
-    except (sv.HypothesisError, nl.EvaluationError, ValueError) as err:
+        result = run_method(problem, method)
+    except (nl.EvaluationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    diagnostics = {"method": method, "status": result.status.value}
+    if method == "enumerate":
+        diagnostics |= {
+            "lambda1": problem.lambda1,
+            "lambda1_lower_bound": problem.lambda1_lower_bound,
+            "solutions": [
+                {"residual": s.residual, "interior": s.u.interior.ravel().tolist()}
+                for s in result.solutions
+            ],
+        }
+        solutions = [
+            (f"solution_{i:02d}", s.u) for i, s in enumerate(result.solutions, 1)
+        ]
+        ok = bool(result.solutions)
+    else:
+        diagnostics |= {
+            "residual": result.residual,
+            "iterations": result.iterations,
+            "lambda1": result.lambda1,
+            "contraction_ratio": result.contraction_ratio,
+            **result.diagnostics,
+        }
+        solutions = [("solution", result.u)]
+        ok = result.status is sv.Status.CONVERGED
+    if outdir is not None:
+        for name, u in solutions:
+            _write_solution(outdir, name, u, fmt)
 
-    text = json.dumps(diagnostics, indent=2)
+    text = _json(diagnostics, indent=2)
     print(text)
     if outdir is not None:
         (outdir / "diagnostics.json").write_text(text)
-    return exit_code
+    return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
 # --- greens -----------------------------------------------------------------
@@ -358,235 +349,33 @@ def _read_function_file(path: str, grid) -> GridFunction:
 
 # --- reproduce --------------------------------------------------------------
 
-
-def _scenarios() -> dict:
-    discrete = "0,1,2,3"
-    hybrid = "[0,1],2,3"
-    return {
-        "table-1": _reproduce_table1,
-        "ex-7.1": _reproduce_ex71,
-        "ex-7.2": _reproduce_ex72,
-        "ex-7.3": lambda: _reproduce_linear(discrete, "1", [-1.0, -1.0], 1e-12),
-        "ex-7.4": lambda: _reproduce_linear(
-            discrete, "1+x1", [-7.0 / 3.0, -8.0 / 3.0], 1e-12
-        ),
-        "ex-7.5": _reproduce_ex75,
-        "ex-7.6": _reproduce_ex76,
-        "ex-7.7": _reproduce_ex77,
-        "ex-7.8": _reproduce_ex78,
-        "ex-7.9": _reproduce_ex79,
-    }
-
-
-def _check(name, got, expected, tol):
-    ok = abs(got - expected) <= tol
-    return (name, expected, got, tol, ok)
-
-
-def _check_true(name, flag):
-    return (name, True, flag, 0, bool(flag))
-
-
-def _reproduce_table1():
-    rows = []
-    lam_cont = float(sp.eigen_shooting(TimeScale.parse("[0,3]"), 1)[0])
-    rows.append(_check("[0,3] lambda1 (shooting)", lam_cont, math.pi**2 / 9, 1e-9))
-    grid = discretize(TimeScale.parse("[0,3]"), MeshParams(h=1e-3))
-    lam_mat = float(sp.spectrum_1d(grid, 1).eigenvalues[0])
-    rows.append(_check("[0,3] lambda1 (matrix h=1e-3)", lam_mat, math.pi**2 / 9, 1e-4))
-    lam_disc = float(
-        sp.spectrum_1d(discretize(TimeScale.parse("0,1,2,3"))).eigenvalues[0]
-    )
-    rows.append(_check("{0,1,2,3} lambda1", lam_disc, 1.0, 1e-12))
-    lam_hyb = float(sp.eigen_shooting(TimeScale.parse("[0,1],2,3"), 1)[0])
-    rows.append(_check("[0,1]u{2,3} lambda1 (shooting)", lam_hyb, 0.840, 1e-3))
-    return rows
-
-
-def _reproduce_ex71():
-    rows = []
-    spec = sp.spectrum_1d(discretize(TimeScale.parse("0,1,2,3")))
-    tensor = sp.tensor_spectrum([spec, spec], 4)
-    for lam, expected in zip(tensor.eigenvalues, (2.0, 4.0, 4.0, 6.0)):
-        rows.append(_check("2D eigenvalue", float(lam), expected, 1e-10))
-    p = sv.Problem(
-        axes=[TimeScale.parse("0,1,2,3")] * 2,
-        f=nl.parse("1"),
-        hypotheses=nl.GrowthHypotheses(L=0.0),
-    )
-    sol = sv.picard_solve(p)
-    rows.append(_check("residual", sol.residual, 0.0, 1e-10))
-    rows.append(
-        _check("max |u - (-1/2)|", float(np.abs(sol.u.interior + 0.5).max()), 0.0, 1e-10)
-    )
-    return rows
-
-
-def _reproduce_ex72():
-    rows = []
-    ts = TimeScale.parse("[0,1],2,3")
-    lams = sp.eigen_shooting(ts, 3)
-    for lam, expected in zip(lams, (0.840, 2.600, 11.907)):
-        rows.append(_check("shooting eigenvalue", float(lam), expected, 1e-3))
-    p = sv.Problem(
-        axes=[ts],
-        f=nl.parse("C", bindings={"C": 1.0}),
-        hypotheses=nl.GrowthHypotheses(L=0.0),
-        mesh=MeshParams(h=2e-3),
-    )
-    sol = sv.picard_solve(p)
-    t = p.grids[0].points
-    exact = np.where(t <= 1.0, (3 * t**2 - 11 * t) / 6.0, -7.0 / 6.0)
-    exact[-1] = 0.0
-    dev = float(np.abs(sol.u.values - exact)[1:-1].max())
-    # the grid weights make the scheme exact for this piecewise quadratic,
-    # at the junction too, so only rounding remains
-    rows.append(_check("max |u - closed form| (h=2e-3)", dev, 0.0, 1e-9))
-    rows.append(_check("u(2)", float(sol.u.values[-2]), -7.0 / 6.0, 1e-9))
-    return rows
-
-
-def _reproduce_linear(axis, f_text, expected, tol):
-    p = sv.Problem(
-        axes=[TimeScale.parse(axis)],
-        f=nl.parse(f_text),
-        hypotheses=nl.GrowthHypotheses(L=0.0),
-    )
-    sol = sv.picard_solve(p)
-    rows = [_check("residual", sol.residual, 0.0, tol)]
-    for got, want in zip(sol.u.interior, expected):
-        rows.append(_check("u", float(got), want, tol))
-    return rows
-
-
-def _reproduce_ex75():
-    p = sv.Problem(
-        axes=[TimeScale.parse("0,1,2,3")],
-        f=nl.parse("-2*u"),
-        hypotheses=nl.GrowthHypotheses(L=2.0, alpha=0.5, cbound=0.0),
-    )
-    sol = sv.homotopy_solve(p)
-    return [
-        _check_true("homotopy converged", sol.status is sv.Status.CONVERGED),
-        _check("max |u|", float(np.abs(sol.u.interior).max()), 0.0, 1e-12),
-        _check("residual", sol.residual, 0.0, 1e-12),
-    ]
-
-
-def _reproduce_ex76():
-    p = sv.Problem(axes=[TimeScale.parse("0,1,2,3")], f=nl.parse("2*u"))
-    res = sv.enumerate_small(p, box=10.0, grid_density=41)
-    rows = [_check("solution count", float(len(res.solutions)), 1.0, 0)]
-    if res.solutions:
-        rows.append(
-            _check(
-                "max |u|",
-                float(np.abs(res.solutions[0].u.interior).max()),
-                0.0,
-                1e-9,
-            )
-        )
-        rows.append(_check("residual", res.solutions[0].residual, 0.0, 1e-12))
-    return rows
-
-
-def _reproduce_ex77():
-    p = sv.Problem(
-        axes=[TimeScale.parse("0,1,2,3")],
-        f=nl.parse("-u"),
-        hypotheses=nl.GrowthHypotheses(L=1.0, alpha=0.5, cbound=0.0),
-    )
-    picard = sv.picard_solve(p)
-    homotopy = sv.homotopy_solve(p)
-    return [
-        _check_true(
-            "picard refuses (non_contraction)",
-            picard.status is sv.Status.NON_CONTRACTION,
-        ),
-        _check_true("homotopy converged", homotopy.status is sv.Status.CONVERGED),
-        _check("homotopy residual", homotopy.residual, 0.0, 1e-8),
-        _check_true(
-            "non-uniqueness risk flagged", homotopy.diagnostics["nonuniqueness_risk"]
-        ),
-    ]
-
-
-def _reproduce_ex78():
-    p = sv.Problem(axes=[TimeScale.parse("0,1,2,3")], f=nl.parse("1+u^2"))
-    res = sv.enumerate_small(p, box=100.0, grid_density=200)
-    quartic_min = 0.0
-    if len(res.candidates):
-        u1 = res.candidates[:, 0]
-        quartic_min = float((u1**4 + 4 * u1**3 + 8 * u1**2 + 7 * u1 + 4).min())
-    return [
-        _check("solution count", float(len(res.solutions)), 0.0, 0),
-        _check_true(
-            "status no_real_solution_suspected",
-            res.status is sv.Status.NO_REAL_SOLUTION_SUSPECTED,
-        ),
-        _check_true("reduced quartic positive at candidates", quartic_min > 0.0),
-    ]
-
-
-def _reproduce_ex79():
-    axes = [
-        TimeScale.parse("0,1,2,3"),
-        TimeScale.parse("5,7,10"),
-        TimeScale.parse("4,6,7"),
-    ]
-    p = sv.Problem(axes=axes, f=nl.parse("u^2"))
-    diag_sum = float(sum(op.diag[0] for op in p.operators))
-    rows = [_check("diagonal coefficient", diag_sum, 34.0 / 9.0, 1e-12)]
-    res = sv.enumerate_small(p, box=20.0, grid_density=200)
-    rows.append(_check("solution count (u^2)", float(len(res.solutions)), 4.0, 0))
-    u1s = sorted(s.u.interior.ravel()[0] for s in res.solutions)
-    cubic_roots = sorted(np.roots([1.0, 68.0 / 9.0, 1462.0 / 81.0, 1075.0 / 81.0]).real)
-    for got, want in zip(u1s, cubic_roots + [0.0]):
-        rows.append(_check("root u(1,7,6)", float(got), float(want), 1e-6))
-    p2 = sv.Problem(axes=axes, f=nl.parse("1+2*u^2"))
-    res2 = sv.enumerate_small(p2, box=20.0, grid_density=200)
-    rows.append(_check("solution count (1+2u^2)", float(len(res2.solutions)), 0.0, 0))
-    return rows
+REPORT_FIELDS = ["item", "expected", "got", "tolerance", "pass"]
 
 
 def cmd_reproduce(args) -> int:
-    scenarios = _scenarios()
-    if args.id not in scenarios:
-        print(
-            f"error: unknown id {args.id!r}; choose from {sorted(scenarios)}",
-            file=sys.stderr,
+    from . import reproduce  # imported here, since reproduce imports this module
+
+    if args.id not in reproduce.SCENARIOS:
+        raise ConfigError(
+            f"unknown id {args.id!r}; choose from {sorted(reproduce.SCENARIOS)}"
         )
-        return EXIT_CONFIG
-    rows = scenarios[args.id]()
-    all_ok = all(r[4] for r in rows)
-    width = max(len(r[0]) for r in rows)
-    for name, expected, got, tol, ok in rows:
-        mark = "PASS" if ok else "FAIL"
-        print(f"{name:<{width}}  expected={expected:<22.12g} got={got:<22.12g} {mark}")
+    rows = reproduce.SCENARIOS[args.id]()
+    all_ok = all(r.ok for r in rows)
+    width = max(len(r.item) for r in rows)
+    for r in rows:
+        print(
+            f"{r.item:<{width}}  expected={r.expected:<22.12g} "
+            f"got={r.got:<22.12g} {'PASS' if r.ok else 'FAIL'}"
+        )
     print(f"{args.id}: {'PASS' if all_ok else 'FAIL'}")
-    outdir, fmt = _resolve_output(args, None)
+    outdir, fmt = _resolve_output(args, {})
     if outdir is not None:
+        records = [dataclasses.astuple(r) for r in rows]
         if fmt == "json":
-            payload = [
-                {
-                    "item": r[0],
-                    "expected": float(r[1]),
-                    "got": float(r[2]),
-                    "tolerance": float(r[3]),
-                    "pass": bool(r[4]),
-                }
-                for r in rows
-            ]
-            (outdir / "report.json").write_text(json.dumps(payload, indent=2))
+            payload = [dict(zip(REPORT_FIELDS, rec)) for rec in records]
+            (outdir / "report.json").write_text(_json(payload, indent=2))
         else:
-            _write_csv(
-                outdir / "report.csv",
-                ["item", "expected", "got", "tolerance", "pass"],
-                [
-                    (r[0], float(r[1]), float(r[2]), float(r[3]), str(r[4]))
-                    for r in rows
-                ],
-            )
+            _write_csv(outdir / "report.csv", REPORT_FIELDS, records)
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
@@ -608,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve the nonlinear problem")
     p_solve.add_argument("--config", required=True)
-    p_solve.add_argument(
-        "--method", choices=["picard", "homotopy", "enumerate"], default=None
-    )
+    p_solve.add_argument("--method", choices=METHODS, default=None)
     _common_flags(p_solve)
 
     p_green = sub.add_parser("greens", help="Green's function queries")
@@ -628,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
 
 
 def main(argv=None) -> int:

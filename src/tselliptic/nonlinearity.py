@@ -26,6 +26,10 @@ import numpy as np
 from .timescale import Grid, GridFunction, coordinates
 
 FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
+# Levels an expression may nest: each parenthesis, function call, unary minus
+# and chained operator adds one.  Parsing, printing and evaluation recurse
+# once per level, so the limit keeps them well inside Python's stack.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -149,6 +153,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.bindings = bindings or {}
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -164,11 +169,27 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", off)
         return self.take()
 
+    def nested(self, step):
+        """``step()`` one level deeper, refused past MAX_DEPTH levels."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", self.peek()[2])
+        self.depth += 1
+        e = step()
+        self.depth -= 1
+        return e
+
     def parse(self) -> Expression:
         e = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing {val!r}", off)
+        depth, level = 0, [e]  # chained operators nest the tree without recursing
+        while level := [
+            c for n in level for c in vars(n).values() if isinstance(c, Expression)
+        ]:
+            depth += 1
+        if depth > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expression:
@@ -189,7 +210,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            arg = self.unary()
+            arg = self.nested(self.unary)
             if isinstance(arg, Const):
                 return Const(-arg.value)  # canonical: "-2" is the constant -2
             return Neg(arg)
@@ -211,7 +232,7 @@ class _Parser:
             kind, val, off = self.peek()
         if kind == "op" and val == "(":
             self.take()
-            n = self.exponent()
+            n = self.nested(self.exponent)
             self.expect_op(")")
             return sign * n
         if kind != "num" or not re.fullmatch(r"\d+", val):
@@ -226,13 +247,13 @@ class _Parser:
         if kind == "num":
             return Const(float(val))
         if kind == "op" and val == "(":
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect_op(")")
             return e
         if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect_op(")")
                 return Fun(val, arg)
             if val == "u":

@@ -17,10 +17,16 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
+
+
+# Most points one axis may have: its dense eigenbasis holds n^2 doubles,
+# 800 MB at this size, and the spectrum and the solvers build it.
+MAX_AXIS_POINTS = 10_001
 
 
 class DomainError(ValueError):
@@ -253,7 +259,8 @@ class MeshParams:
                     f"need at least {interval_index + 1}"
                 ) from None
         if self.h is not None:
-            return max(1, math.ceil(length / self.h - 1e-12))
+            # a quotient that overflows to inf still counts, as the largest float
+            return max(1, math.ceil(min(length / self.h - 1e-12, sys.float_info.max)))
         return self.default_subintervals
 
 
@@ -376,16 +383,23 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     mesh = mesh or MeshParams()
     if not ts.has_interior():
         raise EmptyInteriorError(f"time scale {ts} has empty interior")
-    pieces: list[np.ndarray] = []
-    interval_index = 0
-    for seg in ts.segments:
-        if isinstance(seg, Point):
-            pieces.append(np.array([seg.t]))
-        else:
-            n = mesh.subintervals(seg.hi - seg.lo, interval_index)
-            interval_index += 1
-            pieces.append(np.linspace(seg.lo, seg.hi, n + 1))
-    points = np.concatenate(pieces)
+    intervals = [seg for seg in ts.segments if isinstance(seg, Interval)]
+    counts = [mesh.subintervals(seg.hi - seg.lo, i) for i, seg in enumerate(intervals)]
+    n_points = sum(counts) + len(ts.segments)
+    if n_points > MAX_AXIS_POINTS:
+        raise ValueError(
+            f"{ts} needs {n_points} grid points at this mesh; "
+            f"an axis holds at most {MAX_AXIS_POINTS}"
+        )
+    steps = iter(counts)
+    points = np.concatenate(
+        [
+            np.linspace(seg.lo, seg.hi, next(steps) + 1)
+            if isinstance(seg, Interval)
+            else [seg.t]
+            for seg in ts.segments
+        ]
+    )
     return Grid(points=points, source=ts, mesh=mesh)
 
 

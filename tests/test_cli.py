@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tselliptic import cli
+from tselliptic import solver as sv
+from tselliptic.timescale import MAX_AXIS_POINTS, MeshParams, TimeScale, discretize
 
 
 def write_config(tmp_path, name="cfg.json", **kwargs):
@@ -319,3 +326,166 @@ class TestCsvFormat:
         assert float(lam) == pytest.approx(0.9319059782860835, rel=1e-12)
         digits = lam.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 15
+
+
+# A small valid config; each case below replaces one part of it.
+BASE = {"axes": ["0,1,2,3"], "f": "0.5*u", "hypotheses": {"L": 0.5}}
+
+BAD_CONFIGS = {
+    "mesh.h string": {"mesh": {"h": "abc"}},
+    "mesh list": {"mesh": []},
+    "mesh.counts number": {"axes": ["[0,1],2,3"], "mesh": {"counts": 5}},
+    "hypotheses.L string": {"hypotheses": {"L": "x"}},
+    "hypotheses.L true": {"hypotheses": {"L": True}},
+    "axes numbers": {"axes": [1, 2]},
+    "f number": {"f": 1},
+    "solver list": {"solver": [1]},
+    "solver.max_iter float": {"solver": {"max_iter": 100.0}},
+    "solver.density float": {"solver": {"density": 10.5}},
+    "solver.max_iter true": {"solver": {"max_iter": True}},
+    "params.a string": {"f": "a*u", "params": {"a": "x"}},
+    "output.dir number": {"output": {"dir": 5}},
+    "output.formats string": {"output": {"formats": "json"}},
+    "solver.initial_guess string": {"solver": {"initial_guess": "0"}},
+    "solver.force string": {"hypotheses": {"L": 5}, "solver": {"force": "false"}},
+    "f nested parentheses": {"f": "(" * 3000 + "u" + ")" * 3000},
+    "f nested sin": {"f": "sin(" * 1500 + "u" + ")" * 1500},
+    "f unary minus chain": {"f": "-" * 3000 + "u"},
+    "f long sum": {"f": "+".join(["u"] * 3000)},
+    "mesh.h over the grid budget": {"axes": ["[0,1]"], "mesh": {"h": 1e-12}},
+    "mesh.h so small the step count overflows": {
+        "axes": ["[0,1]"],
+        "mesh": {"h": 5e-324},
+    },
+}
+
+
+def assert_config_error(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+    return err
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_bad_config_exits_3_with_one_line(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, **{**BASE, **BAD_CONFIGS[case]})
+        assert cli.main(["solve", "--config", cfg]) == 3
+        assert_config_error(capsys)
+
+    def test_force_string_cannot_skip_contraction_gate(self, tmp_path, capsys):
+        # L = 5 is above lambda_1 = 1, so only a real `true` may skip the gate
+        cfg = {**BASE, "hypotheses": {"L": 5}}
+        path = write_config(tmp_path, **cfg, solver={"force": "false"})
+        assert cli.main(["solve", "--config", path]) == 3
+        assert "converged" not in capsys.readouterr().out
+        path = write_config(tmp_path, **cfg, solver={"force": False})
+        assert cli.main(["solve", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "non_contraction"
+
+    def test_every_schema_key_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **full_config(tmp_path))
+        assert cli.main(["solve", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+    def test_parser_depth_limit(self, tmp_path, capsys):
+        deepest = "(" * 100 + "u" + ")" * 100
+        cfg = write_config(tmp_path, **{**BASE, "f": f"0.5*{deepest}"})
+        assert cli.main(["solve", "--config", cfg]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, **{**BASE, "f": f"0.5*({deepest})"})
+        assert cli.main(["solve", "--config", cfg]) == 3
+        assert "nested deeper than 100 levels" in assert_config_error(capsys)
+
+    def test_non_finite_json_is_null(self, tmp_path, capsys):
+        def strict(text):
+            return json.loads(text, parse_constant=pytest.fail)
+
+        cfg = write_config(
+            tmp_path, axes=["0,1,2,3"], f="1e308*10", hypotheses={"L": 0}
+        )
+        out = tmp_path / "run"
+        argv = ["solve", "--config", cfg, "--out", str(out), "--format", "json"]
+        assert cli.main(argv) == 2
+        diag = strict(capsys.readouterr().out)
+        assert diag["residual"] is None and diag["note"].startswith("non-finite")
+        assert strict((out / "diagnostics.json").read_text()) == diag
+        assert None in strict((out / "solution.json").read_text())["values"]
+
+    def test_grid_budget(self, tmp_path, capsys):
+        at_budget = discretize(TimeScale.parse("[0,1]"), MeshParams(h=1e-4))
+        assert len(at_budget.points) == MAX_AXIS_POINTS
+        with pytest.raises(ValueError, match="grid points"):
+            discretize(TimeScale.parse("[0,1],2"), MeshParams(h=1e-4))
+        cfg = write_config(tmp_path, axes=["[0,1]"], mesh={"h": 1e-12})
+        assert cli.main(["spectrum", "--config", cfg, "--h", "1e-12"]) == 3
+        assert f"at most {MAX_AXIS_POINTS}" in assert_config_error(capsys)
+
+
+def full_config(tmp_path) -> dict:
+    """A valid config that sets every key the schema names."""
+    fields = dataclasses.fields(sv.SolverConfig)
+    return {
+        "axes": ["[0,1],2,3"],
+        "mesh": {"h": 0.25},
+        "f": "a*sin(u) + b",
+        "params": {"a": 0.5, "b": 1},
+        "hypotheses": {"L": 0.5, "alpha": 0.5, "C": 1.0},
+        "solver": {"method": "picard", **{f.name: f.default for f in fields}},
+        "output": {"dir": str(tmp_path / "out"), "formats": ["json"]},
+    }
+
+
+def schema_paths():
+    """(path, spec) of every section and every key of a section."""
+    for key, spec in cli.SCHEMA.items():
+        yield (key,), spec
+        if isinstance(spec, dict):
+            for sub, sub_spec in spec.items():
+                yield (key, "a" if sub is str else sub), sub_spec
+
+
+JSON_KINDS = {
+    "string": (str, st.text(max_size=4)),
+    "bool": (bool, st.booleans()),
+    "null": (None, st.none()),
+    "list": (list, st.lists(st.integers(0, 3), max_size=2)),
+    "object": (dict, st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=2)),
+}
+
+
+@st.composite
+def wrong_typed_configs(draw, tmp_path):
+    path, spec = draw(st.sampled_from(list(schema_paths())))
+    accepted = type(spec) if isinstance(spec, (dict, list)) else spec
+    kinds = [k for k, (t, _) in JSON_KINDS.items() if t is not accepted]
+    value = draw(JSON_KINDS[draw(st.sampled_from(kinds))][1])
+    cfg = full_config(tmp_path)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzz_wrong_json_type_at_any_key(tmp_path_factory, data):
+    """One value of a wrong JSON type (string, bool, null, list or object) at
+    any key of a valid config ends in exit 3 with one line, never in exit 0
+    or 2 and never in a traceback.
+
+    Only types are drawn here; numeric ranges, such as a mesh step too small
+    for the grid budget, are the job of ``test_grid_budget``.
+    """
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = data.draw(wrong_typed_configs(tmp))
+    path = write_config(tmp, **cfg)
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+        code = cli.main(["solve", "--config", path])
+    assert code == 3, captured.getvalue()
+    assert captured.getvalue().count("\n") == 1
+    assert "Traceback" not in captured.getvalue()
