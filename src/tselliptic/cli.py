@@ -171,7 +171,12 @@ def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
     outdir = None
     if out is not None:
         outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(
+                f"cannot create output directory {out}: {err.strerror}"
+            ) from None
     return outdir, fmt
 
 
@@ -308,10 +313,10 @@ def cmd_greens(args) -> int:
     for name, v in (("t", args.t), ("s", args.s)):
         if not ts.a <= v <= ts.b:
             raise ConfigError(f"{name} = {v:g} is outside [{ts.a:g}, {ts.b:g}]")
+    outdir, _ = _resolve_output(args, cfg)
     kernel = op_mod.GreenKernel(ts.a, ts.b)
     value = float(kernel(args.t, args.s))
     print(f"G({args.t:g},{args.s:g}) = {value:.17g}")
-    outdir, _ = _resolve_output(args, cfg)
     if args.apply is not None:
         grid = problem.grids[0]
         op = op_mod.assemble(grid)

@@ -12,7 +12,10 @@ Three regimes:
   is below the first eigenvalue; refuses to iterate otherwise.
 * ``homotopy_solve`` -- continuation u = tau * Ainv(-F(u)) from tau = 0 to
   1 under the one-sided growth condition, with the a priori norm bound
-  enforced along the path; certifies existence by residual only.
+  enforced along the path; certifies existence by residual only.  Each
+  continuation step takes plain fixed-point steps and switches to Anderson
+  mixing of the same map when a step grows or the plain steps run long, so
+  it needs no Jacobian and works at every size.
 * ``enumerate_small`` -- dense multi-start Newton enumeration of tiny
   algebraic systems (<= 3 unknowns), the honest fallback when neither
   hypothesis holds.
@@ -39,6 +42,14 @@ from .timescale import (
     discretize,
     product_delta_norm,
 )
+
+
+# Plain fixed-point steps a continuation step takes before Anderson mixing
+# starts.  Mixing keeps ANDERSON_DEPTH + 1 iterates and steps in memory, so
+# it stays off while plain steps converge: on the homotopy-3d benchmark a
+# continuation step takes at most 12 iterations.
+PLAIN_STEPS = 50
+ANDERSON_DEPTH = 5
 
 
 class HypothesisError(ValueError):
@@ -241,32 +252,35 @@ def picard_solve(problem: Problem) -> Solution:
         status = Status.MAX_ITERATIONS
         prev_step = None
         first_step = None
-        for it in range(1, cfg.max_iter + 1):
-            Fu = nl.nemytskii(problem.f, problem.grids, u)
-            u_next = spectral_inverse(problem.spectra, Fu.with_interior(-Fu.interior))
-            step = product_delta_norm(
-                u_next.with_interior(u_next.interior - u.interior)
-            )
-            if prev_step is not None and prev_step > 0:
-                r = step / prev_step
-                ratio = r if ratio is None else max(ratio, r)
-            if first_step is None:
-                first_step = step
-            u = u_next
-            res = residual(problem, u)
-            if res <= cfg.residual_tol:
-                status = Status.CONVERGED
-                break
-            if not (math.isfinite(step) and math.isfinite(res)):
-                diag["note"] = "non-finite: step or residual is NaN or infinite"
-                break
-            if step > 1e6 * max(first_step, 1e-300):
-                diag["note"] = "diverged: step norm grew by more than 1e6"
-                break
-            if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
-                diag["note"] = "stalled: step below tolerance with residual above"
-                break
-            prev_step = step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, cfg.max_iter + 1):
+                Fu = nl.nemytskii(problem.f, problem.grids, u)
+                u_next = spectral_inverse(
+                    problem.spectra, Fu.with_interior(-Fu.interior)
+                )
+                step = product_delta_norm(
+                    u_next.with_interior(u_next.interior - u.interior)
+                )
+                if prev_step is not None and prev_step > 0:
+                    r = step / prev_step
+                    ratio = r if ratio is None else max(ratio, r)
+                if first_step is None:
+                    first_step = step
+                u = u_next
+                res = residual(problem, u)
+                if res <= cfg.residual_tol:
+                    status = Status.CONVERGED
+                    break
+                if not (math.isfinite(step) and math.isfinite(res)):
+                    diag["note"] = "non-finite: step or residual is NaN or infinite"
+                    break
+                if step > 1e6 * max(first_step, 1e-300):
+                    diag["note"] = "diverged: step norm grew by more than 1e6"
+                    break
+                if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
+                    diag["note"] = "stalled: step below tolerance with residual above"
+                    break
+                prev_step = step
     return Solution(
         u=u,
         residual=res,
@@ -278,14 +292,6 @@ def picard_solve(problem: Problem) -> Solution:
     )
 
 
-def _df_du(problem: Problem, u: GridFunction) -> np.ndarray:
-    """Pointwise df/du on interior points by central differences."""
-    d = 1e-6 * np.maximum(1.0, np.abs(u.values))
-    up = nl.nemytskii(problem.f, problem.grids, GridFunction(u.grids, u.values + d))
-    dn = nl.nemytskii(problem.f, problem.grids, GridFunction(u.grids, u.values - d))
-    return GridFunction(u.grids, (up.values - dn.values) / (2.0 * d)).interior
-
-
 def _dense_operator(problem: Problem) -> np.ndarray:
     """Materialize the Kronecker-sum operator (small systems only)."""
     shape = tuple(g.n_interior for g in problem.grids)
@@ -294,50 +300,27 @@ def _dense_operator(problem: Problem) -> np.ndarray:
     return _kronecker_sum(problem.operators, probes).reshape(d, d)
 
 
-def _newton_correct(
-    problem: Problem,
-    u: GridFunction,
-    tau: float,
-    max_iter: int,
-    tol: float,
-) -> tuple[GridFunction, bool]:
-    """Damped Newton on Au + tau F(u) = 0 for small dense systems."""
-    shape = tuple(g.n_interior for g in problem.grids)
-    A = _dense_operator(problem)
-    vec = u.interior.ravel().copy()
-    for _ in range(max_iter):
-        cur = u.with_interior(vec.reshape(shape))
-        Fu = nl.nemytskii(problem.f, problem.grids, cur).interior.ravel()
-        R = A @ vec + tau * Fu
-        if np.linalg.norm(R, np.inf) <= tol:
-            return u.with_interior(vec.reshape(shape)), True
-        J = A + tau * np.diag(_df_du(problem, cur).ravel())
-        try:
-            delta = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError:
-            return u, False
-        # backtracking on the residual norm
-        base = np.linalg.norm(R)
-        w = 1.0
-        while w > 1e-6:
-            trial = vec + w * delta
-            Ft = nl.nemytskii(
-                problem.f, problem.grids, u.with_interior(trial.reshape(shape))
-            ).interior.ravel()
-            if np.linalg.norm(A @ trial + tau * Ft) < base:
-                vec = trial
-                break
-            w /= 2.0
-        else:
-            return u, False
-    return u.with_interior(vec.reshape(shape)), False
+def _anderson(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray:
+    """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+
+    From iterates ``xs`` and their fixed-point steps ``gs = T(x) - x``,
+    oldest first, take the affine combination of the steps with the least
+    squares norm and return the next iterate it points to.  With a single
+    iterate this is the plain step x + g.
+    """
+    x, g = xs[-1], gs[-1]
+    dx = np.diff(np.reshape(xs, (len(xs), -1)), axis=0).T
+    dg = np.diff(np.reshape(gs, (len(gs), -1)), axis=0).T
+    gamma = np.linalg.lstsq(dg, g.ravel(), rcond=None)[0]
+    return x + g - ((dx + dg) @ gamma).reshape(x.shape)
 
 
 def homotopy_solve(problem: Problem) -> Solution:
     """Continuation in tau for u = tau * Ainv(-F(u)), warm-started.
 
     Existence is certified only by the final residual; uniqueness is never
-    claimed, and the diagnostics flag the risk when L >= lambda_1.
+    claimed, and the diagnostics flag the risk when L >= lambda_1.  A run
+    that does not converge says why in ``diagnostics["note"]``.
     """
     cfg = problem.config
     hyp = problem.hypotheses
@@ -367,50 +350,53 @@ def homotopy_solve(problem: Problem) -> Solution:
     u = problem.constant_function(cfg.initial_guess)
     total_iters = 0
     last_good_tau = 0.0
+    note = None
     J = cfg.homotopy_steps
-    for j in range(1, J + 1):
-        tau = j / J
-        ok = False
-        omega = 1.0
-        prev_step = None
-        inner_cap = max(200, cfg.max_iter // J)
-        for _ in range(inner_cap):
-            total_iters += 1
-            Fu = nl.nemytskii(problem.f, problem.grids, u)
-            Tu = spectral_inverse(
-                problem.spectra, Fu.with_interior(-tau * Fu.interior)
-            )
-            step_vec = Tu.interior - u.interior
-            step = product_delta_norm(u.with_interior(step_vec))
-            if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
-                u = Tu
-                ok = True
+    inner_cap = max(200, cfg.max_iter // J)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, J + 1):
+            tau = j / J
+            prev_step = math.inf
+            xs, gs = [], []  # Anderson history, kept once mixing is on
+            for k in range(inner_cap):
+                total_iters += 1
+                Fu = nl.nemytskii(problem.f, problem.grids, u)
+                Tu = spectral_inverse(
+                    problem.spectra, Fu.with_interior(-tau * Fu.interior)
+                )
+                g = Tu.interior - u.interior
+                step = product_delta_norm(u.with_interior(g))
+                if not math.isfinite(step):
+                    note = f"non-finite: step is NaN or infinite at tau = {tau:.3g}"
+                    break
+                if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
+                    u = Tu
+                    break
+                if xs or k >= PLAIN_STEPS or step > prev_step * 1.01:
+                    xs = (xs + [u.interior])[-ANDERSON_DEPTH - 1 :]
+                    gs = (gs + [g])[-ANDERSON_DEPTH - 1 :]
+                    u = u.with_interior(_anderson(xs, gs))
+                else:
+                    u = Tu
+                prev_step = step
+            else:
+                note = f"inner cap: {inner_cap} steps reached at tau = {tau:.3g}"
+            if note is None and (nrm_sq := product_delta_norm(u) ** 2) > bound_sq:
+                note = (
+                    f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
+                    f"bound {bound_sq:.6g} at tau = {tau:.3g}"
+                )
+            if note is not None:
+                diag["last_good_tau"] = last_good_tau
                 break
-            if prev_step is not None and step > prev_step * 1.01:
-                omega = max(omega / 2.0, 1.0 / 64.0)
-            u = u.with_interior(u.interior + omega * step_vec)
-            prev_step = step
-        if not ok and u.interior.size > 600:
-            diag["note"] = f"dense Newton skipped: {u.interior.size} unknowns > 600"
-        elif not ok:
-            u, ok = _newton_correct(
-                problem, u, tau, max_iter=60, tol=cfg.residual_tol * 1e-2
-            )
-        if not ok:
-            diag["last_good_tau"] = last_good_tau
-            break
-        nrm_sq = product_delta_norm(u) ** 2
-        if nrm_sq > bound_sq:
-            diag["last_good_tau"] = last_good_tau
-            diag["note"] = (
-                f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
-                f"bound {bound_sq:.6g} at tau = {tau:.3g}"
-            )
-            break
-        last_good_tau = tau
-    res = residual(problem, u)
+            last_good_tau = tau
+        res = residual(problem, u)
     # tau = J / J is exactly 1.0 once every continuation step has succeeded
     converged = last_good_tau == 1.0 and res <= cfg.residual_tol
+    if note is None and not converged:
+        note = f"residual {res:.3g} above residual_tol {cfg.residual_tol:g}"
+    if note is not None:
+        diag["note"] = note
     status = Status.CONVERGED if converged else Status.MAX_ITERATIONS
     return Solution(
         u=u,

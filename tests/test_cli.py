@@ -187,6 +187,20 @@ class TestSolve:
         assert diag["method"] == "homotopy"
         assert diag["status"] == "converged"
 
+    @pytest.mark.parametrize("method", ["picard", "homotopy"])
+    def test_non_finite_exit_2_without_warnings(self, tmp_path, capfd, method):
+        cfg = write_config(
+            tmp_path,
+            axes=["0,1,2,3"],
+            f="1e308*10",
+            hypotheses={"L": 0, "alpha": 0, "C": 1},
+            solver={"method": method, "assume_hypotheses": True},
+        )
+        assert cli.main(["solve", "--config", cfg]) == 2
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(out)["note"].startswith("non-finite")
+
     def test_homotopy_missing_hypotheses_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, axes=["0,1,2,3"], f="-u")
         assert cli.main(["solve", "--config", cfg, "--method", "homotopy"]) == 3
@@ -313,6 +327,23 @@ class TestOutputConfig:
         )
         assert (outdir / "eigenvalues.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+    @pytest.mark.parametrize("command", ["spectrum", "greens"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_uncreatable_dir_exit_3(self, tmp_path, capsys, command, where):
+        (tmp_path / "afile").write_text("")
+        blocked = str(tmp_path / "afile" / "sub")
+        if where == "config":
+            cfg = write_config(tmp_path, axes=["0,1,2,3"], output={"dir": blocked})
+            argv = [command, "--config", cfg]
+        else:
+            cfg = write_config(tmp_path, axes=["0,1,2,3"])
+            argv = [command, "--config", cfg, "--out", blocked]
+        if command == "greens":
+            argv += ["--t", "1", "--s", "1"]
+        assert cli.main(argv) == 3
+        assert "cannot create output directory" in assert_config_error(capsys)
 
 
 class TestCsvFormat:

@@ -396,20 +396,36 @@ class TestHomotopy:
         with pytest.raises(HypothesisError):
             homotopy_solve(p)
 
-    def test_newton_corrector_polishes_warm_start(self):
-        from tselliptic.solver import _newton_correct
+    def test_slow_contraction_matches_linear_solve(self):
+        # f = -9.7u + 1 on [0,1]: near tau = 1 the fixed-point map contracts
+        # by about 0.98, too slowly for plain steps within the inner cap
+        p = make_problem(
+            ["[0,1]"], "-9.7*u + 1", mesh=MeshParams(h=1e-2),
+            hyp=GrowthHypotheses(alpha=0.0, cbound=300.0),
+            config=SolverConfig(max_iter=1000, homotopy_steps=20),
+        )
+        sol = homotopy_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.residual <= 1e-8
+        A = _dense_operator(p)
+        exact = np.linalg.solve(A - 9.7 * np.eye(len(A)), -np.ones(len(A)))
+        assert np.abs(sol.u.interior - exact).max() <= 1e-8
 
-        p = make_problem(["0,1,2,3"], "-3*u/(1+u^2) - 1")
-        warm = p.constant_function(2.0)
-        u, ok = _newton_correct(p, warm, tau=1.0, max_iter=40, tol=1e-12)
-        assert ok
-        assert np.abs(u.interior - 2.1478990436).max() <= 1e-8
-        assert residual(p, u) <= 1e-10
+    def test_slow_contraction_above_600_unknowns(self):
+        p = make_problem(
+            ["[0,1],2,3"], "-9.7*u + 1", mesh=MeshParams(h=1e-3),
+            hyp=GrowthHypotheses(alpha=0.0, cbound=300.0),
+            config=SolverConfig(max_iter=1000, homotopy_steps=20),
+        )
+        assert p.grids[0].n_interior > 600
+        sol = homotopy_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.residual <= 1e-8
 
-    def test_skipped_newton_correction_reported(self):
-        # tau = 1 in one step: the inner iteration contracts by about 0.98
-        # and cannot converge in its 200 steps, and 666 unknowns are too
-        # many for the dense Newton corrector
+    def test_large_system_reaches_tau_one(self):
+        # tau = 1 in one step on 666 unknowns: the inner iteration contracts
+        # by about 0.98, and mixing takes it to the solution, whose norm
+        # lies outside the a priori ball of C = 100
         p = make_problem(
             ["[0,1]"], "-9.7*u + 1", mesh=MeshParams(h=1.5e-3),
             hyp=GrowthHypotheses(alpha=0.0, cbound=100.0),
@@ -419,8 +435,41 @@ class TestHomotopy:
         sol = homotopy_solve(p)
         assert sol.status is Status.MAX_ITERATIONS
         assert sol.diagnostics["last_good_tau"] == 0.0
+        assert sol.residual <= 1e-8
         note = sol.diagnostics["note"]
-        assert "Newton skipped" in note and "666 unknowns" in note
+        assert "a priori" in note and note.endswith("at tau = 1")
+
+    @pytest.mark.parametrize("f_text", ["1e308*10", "exp(u)*1e300 + 1"])
+    def test_non_finite_stops_with_note(self, capfd, f_text):
+        p = make_problem(
+            ["0,1,2,3"], f_text,
+            hyp=GrowthHypotheses(alpha=0.0, cbound=1.0),
+            config=SolverConfig(assume_hypotheses=True),
+        )
+        sol = homotopy_solve(p)
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations == 1
+        assert sol.diagnostics["note"].startswith("non-finite")
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "f_text, cbound, config, reason",
+        [
+            ("-3*abs(u) - 1", 1e6, {"homotopy_steps": 1, "max_iter": 200},
+             "inner cap: 200 steps reached at tau = 1"),
+            ("2", 3.0, {"residual_tol": 1e-300}, "residual "),
+        ],
+        ids=["inner-cap", "residual"],
+    )
+    def test_unconverged_run_names_reason(self, f_text, cbound, config, reason):
+        p = make_problem(
+            ["0,1,2,3"], f_text,
+            hyp=GrowthHypotheses(alpha=0.5, cbound=cbound),
+            config=SolverConfig(assume_hypotheses=True, **config),
+        )
+        sol = homotopy_solve(p)
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.diagnostics["note"].startswith(reason)
 
     def test_bound_violation_surfaced_not_hidden(self):
         # f = -3u/(1+u^2) - 1 satisfies the one-sided pair (0.5, 1), yet
