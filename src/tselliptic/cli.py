@@ -190,8 +190,7 @@ def cmd_spectrum(args) -> int:
     problem, _ = build_problem(cfg, h_override=args.h)
     outdir, fmt = _resolve_output(args, cfg)
 
-    k = args.k or (problem.spectra[0].count if problem.n == 1 else 8)
-    entries = sp.tensor_spectrum(problem.spectra, k).entries
+    entries = sp.tensor_spectrum(problem.spectra, args.k or 8).entries
 
     lower = problem.lambda1_lower_bound
     print(",".join(format(l, ".12g") for _, l in entries))

@@ -108,18 +108,6 @@ def max_coordinate(e: Expression) -> int:
     return 0
 
 
-def uses_u(e: Expression) -> bool:
-    if isinstance(e, Var):
-        return e.name == "u"
-    if isinstance(e, (Neg, Fun)):
-        return uses_u(e.arg)
-    if isinstance(e, Binary):
-        return uses_u(e.left) or uses_u(e.right)
-    if isinstance(e, Pow):
-        return uses_u(e.base)
-    return False
-
-
 # --- parser ---------------------------------------------------------------
 
 _TOKEN = re.compile(

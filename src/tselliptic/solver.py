@@ -16,9 +16,10 @@ Three regimes:
   continuation step takes plain fixed-point steps and switches to Anderson
   mixing of the same map when a step grows or the plain steps run long, so
   it needs no Jacobian and works at every size.
-* ``enumerate_small`` -- dense multi-start Newton enumeration of tiny
-  algebraic systems (<= 3 unknowns), the honest fallback when neither
-  hypothesis holds.
+* ``enumerate_small`` -- multi-start Newton enumeration of tiny algebraic
+  systems (<= 3 unknowns), the honest fallback when neither hypothesis
+  holds.  The starts are the columns of one array and each Newton step
+  solves every start's d x d system at once by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from . import nonlinearity as nl
 from . import operator as op_mod
 from . import spectral as sp
 from .timescale import (
+    MAX_AXIS_POINTS,
     Grid,
     GridFunction,
     MeshParams,
@@ -110,7 +112,16 @@ class Problem:
 
     @functools.cached_property
     def grids(self) -> tuple[Grid, ...]:
-        return tuple(discretize(ts, self.mesh) for ts in self.axes)
+        grids = tuple(discretize(ts, self.mesh) for ts in self.axes)
+        # one grid function over the product may hold as many doubles as
+        # one axis's dense eigenbasis
+        points = math.prod(len(g.points) for g in grids)
+        if points > MAX_AXIS_POINTS**2:
+            raise ValueError(
+                f"the product grid needs {points} points at this mesh; "
+                f"it holds at most {MAX_AXIS_POINTS**2}"
+            )
+        return grids
 
     @functools.cached_property
     def operators(self) -> tuple[op_mod.DirichletOperator1D, ...]:
@@ -358,7 +369,8 @@ def homotopy_solve(problem: Problem) -> Solution:
             tau = j / J
             prev_step = math.inf
             xs, gs = [], []  # Anderson history, kept once mixing is on
-            for k in range(inner_cap):
+            cap = min(inner_cap, cfg.max_iter - total_iters)
+            for k in range(cap):
                 total_iters += 1
                 Fu = nl.nemytskii(problem.f, problem.grids, u)
                 Tu = spectral_inverse(
@@ -380,7 +392,11 @@ def homotopy_solve(problem: Problem) -> Solution:
                     u = Tu
                 prev_step = step
             else:
-                note = f"inner cap: {inner_cap} steps reached at tau = {tau:.3g}"
+                reached = (
+                    f"inner cap: {inner_cap} steps" if cap == inner_cap
+                    else f"max_iter: {cfg.max_iter} iterations"
+                )
+                note = f"{reached} reached at tau = {tau:.3g}"
             if note is None and (nrm_sq := product_delta_norm(u) ** 2) > bound_sq:
                 note = (
                     f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
@@ -419,35 +435,27 @@ class EnumerationResult:
     status: Status
 
 
-def _batched_solve(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve J x = r for stacks of d x d systems, d <= 3, via adjugates."""
-    d = J.shape[-1]
-    if d == 1:
-        det = J[:, 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return r / det[:, None]
-    if d == 2:
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        x = np.empty_like(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x[:, 0] = (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-            x[:, 1] = (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
-        return x
-    cof = np.empty_like(J)
-    for i in range(3):
-        for j in range(3):
-            rows = [k for k in range(3) if k != i]
-            cols = [k for k in range(3) if k != j]
-            minor = (
-                J[:, rows[0], cols[0]] * J[:, rows[1], cols[1]]
-                - J[:, rows[0], cols[1]] * J[:, rows[1], cols[0]]
-            )
-            cof[:, j, i] = (-1) ** (i + j) * minor
-    det = (
-        J[:, 0, 0] * cof[:, 0, 0] + J[:, 0, 1] * cof[:, 1, 0] + J[:, 0, 2] * cof[:, 2, 0]
+def _det(M):
+    """Determinant of a square nested list of scalars and same-shape arrays,
+    expanded along the first row (cheap for the d <= 3 systems here)."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * m * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j, m in enumerate(M[0])
     )
+
+
+def _cramer(J, r) -> np.ndarray:
+    """Solve J x = r by Cramer's rule, entrywise over arrays: ``J`` is a
+    nested list as in ``_det`` and ``r`` has one row per unknown.  Where J
+    is singular the solution is not finite."""
+    cols = [
+        _det([row[:i] + [ri] + row[i + 1 :] for row, ri in zip(J, r)])
+        for i in range(len(J))
+    ]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.einsum("sij,sj->si", cof, r) / det[:, None]
+        return np.array(cols) / _det(J)
 
 
 def enumerate_small(
@@ -455,91 +463,66 @@ def enumerate_small(
 ) -> EnumerationResult:
     """Multi-start Newton over a dense lattice in [-box, box]^d.
 
-    Polishes every start, keeps distinct converged roots inside the box,
-    and reports ``no_real_solution_suspected`` when nothing converges.
+    The starts are the columns of one (d, S) array, and every Newton step
+    solves all of them at once by Cramer's rule.  Polishes every start,
+    keeps distinct converged roots inside the box, and reports
+    ``no_real_solution_suspected`` when nothing converges.
     """
     if box <= 0 or grid_density < 2:
         raise ValueError("need box > 0 and grid_density >= 2")
     shape = tuple(g.n_interior for g in problem.grids)
-    d = int(np.prod(shape))
+    d = math.prod(shape)
     if d > 3:
         raise ValueError(f"enumeration supports at most 3 unknowns, got {d}")
     A = _dense_operator(problem)
-    # coordinates of the d unknowns in C order of the interior tensor
-    coords = np.array(
-        [
-            [float(g.points[1 + idx]) for g, idx in zip(problem.grids, multi)]
-            for multi in np.ndindex(*shape)
-        ]
-    )  # (d, n)
-    xs = [coords[:, ax] for ax in range(problem.n)]
+    # coordinates of the unknowns (C order of the interior tensor) as columns
+    interiors = [g.interior for g in problem.grids]
+    xs = [c.reshape(-1, 1) for c in np.meshgrid(*interiors, indexing="ij")]
 
-    def f_vals(u: np.ndarray) -> np.ndarray:  # u: (S, d)
+    def f_vals(u: np.ndarray) -> np.ndarray:  # u: (d, S)
         try:
             out = nl.evaluate_arrays(problem.f, xs, u)
             return np.broadcast_to(out, u.shape).astype(float, copy=False)
         except nl.EvaluationError as err:
             # mark starts where f is undefined as dead instead of aborting
             res = np.full(u.shape, np.nan)
-            if err.mask is not None:
-                bad = np.broadcast_to(err.mask, u.shape).any(axis=1)
-            else:
-                bad = np.ones(len(u), dtype=bool)
+            mask = True if err.mask is None else err.mask
+            bad = np.broadcast_to(mask, u.shape).any(axis=0)
             if (~bad).any():
-                res[~bad] = f_vals(u[~bad])
+                res[:, ~bad] = f_vals(u[:, ~bad])
             return res
 
-    axes_1d = [np.linspace(-box, box, grid_density)] * d
-    mesh = np.meshgrid(*axes_1d, indexing="ij")
-    u = np.stack([m.ravel() for m in mesh], axis=-1)  # (S, d)
-    alive = np.ones(len(u), dtype=bool)
+    lattice = np.meshgrid(*[np.linspace(-box, box, grid_density)] * d, indexing="ij")
+    u = np.array([m.ravel() for m in lattice])  # (d, S): one start per column
+    alive = np.ones(u.shape[1], dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(80):
-            R = u @ A.T + f_vals(u)
-            conv = np.linalg.norm(R, np.inf, axis=1) <= 1e-11 * (
-                1.0 + np.abs(u).max(axis=1)
-            )
-            active = alive & ~conv
-            if not active.any():
+        for steps in range(81):  # Newton steps taken so far, at most 80
+            R = A @ u + f_vals(u)
+            scale = np.abs(u).max(axis=0)
+            active = alive & ~(np.abs(R).max(axis=0) <= 1e-11 * (1.0 + scale))
+            if steps == 80 or not active.any():
                 break
             h = 1e-6 * np.maximum(1.0, np.abs(u))
             fp = (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
-            J = np.broadcast_to(A, (len(u), d, d)).copy()
-            J[:, np.arange(d), np.arange(d)] += fp
-            step = _batched_solve(J[active], R[active])
-            step[~np.isfinite(step).all(axis=1)] = 0.0
-            u[active] = u[active] - step
-            dead = ~np.isfinite(u).all(axis=1) | (
-                np.nan_to_num(np.abs(u), nan=np.inf).max(axis=1) > 1e8
-            )
-            alive &= ~dead
-            u[~alive] = np.nan
-        finite = alive & np.isfinite(u).all(axis=1)
-        Rn = np.full(len(u), np.inf)
-        if finite.any():
-            Rn[finite] = np.linalg.norm(
-                u[finite] @ A.T + f_vals(u[finite]), np.inf, axis=1
-            )
-        scale = np.where(finite, np.nan_to_num(np.abs(u), nan=0.0).max(axis=1), 0.0)
-        converged = finite & (Rn <= 1e-10 * (1.0 + scale))
+            # the Jacobian A + diag(f'(u)): arrays on the diagonal, scalars off it
+            J = [[a + fp[i] if i == j else a for j, a in enumerate(row)]
+                 for i, row in enumerate(A)]
+            step = _cramer(J, R)
+            np.subtract(u, step, out=u, where=active & np.isfinite(step).all(axis=0))
+            # leaving [-1e8, 1e8]^d kills a start, so live starts are finite
+            alive &= (np.abs(u) <= 1e8).all(axis=0)
+            np.copyto(u, np.nan, where=~alive)
+        converged = alive & (np.abs(R).max(axis=0) <= 1e-10 * (1.0 + scale))
         inside = converged & (scale <= box * (1.0 + 1e-9))
-    roots = _dedupe(u[inside], 1e-6, exact=True)
-    candidates = _dedupe(u[finite], 1e-6, exact=False)
-    solutions = []
-    for root in roots:
-        gf = GridFunction.zeros(problem.grids).with_interior(
-            root.reshape(shape)
-        )
-        solutions.append(
-            Solution(
-                u=gf,
-                residual=residual(problem, gf),
-                status=Status.CONVERGED,
-                iterations=0,
-                lambda1=problem.lambda1,
-                diagnostics={"route": "enumeration"},
-            )
-        )
+    roots = _dedupe(u.T[inside], 1e-6, exact=True)
+    candidates = _dedupe(u.T[alive], 1e-6, exact=False)
+    zero = GridFunction.zeros(problem.grids)
+    solutions = [
+        Solution(u=gf, residual=residual(problem, gf), status=Status.CONVERGED,
+                 iterations=0, lambda1=problem.lambda1,
+                 diagnostics={"route": "enumeration"})
+        for gf in (zero.with_interior(root.reshape(shape)) for root in roots)
+    ]
     status = Status.CONVERGED if solutions else Status.NO_REAL_SOLUTION_SUSPECTED
     return EnumerationResult(solutions=solutions, candidates=candidates, status=status)
 

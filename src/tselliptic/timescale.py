@@ -353,13 +353,6 @@ class Grid:
     def n_interior(self) -> int:
         return len(self.points) - 2
 
-    def index_of(self, t: float, tol: float = 1e-12) -> int:
-        i = int(np.searchsorted(self.points, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j <= self.m and abs(self.points[j] - t) <= tol * max(1.0, abs(t)):
-                return j
-        raise DomainError(f"{t} is not a grid point")
-
     def __eq__(self, other) -> bool:
         # equal points with different weights are different measures
         return (

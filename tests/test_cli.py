@@ -118,6 +118,13 @@ class TestSpectrum:
         assert captured.err.count("\n") == 1
         assert "--k must be at least 1" in captured.err
 
+    def test_1d_default_lists_eight(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, axes=[",".join(map(str, range(12)))])
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()[0].split(",")) == 8
+        assert len(list(out.glob("eigenfunction_*.csv"))) == 8
+
     def test_h_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, axes=["[0,3]"])
         assert cli.main(["spectrum", "--config", cfg, "--k", "1", "--h", "0.001"]) == 0
@@ -453,6 +460,18 @@ class TestConfigSchema:
         cfg = write_config(tmp_path, axes=["[0,1]"], mesh={"h": 1e-12})
         assert cli.main(["spectrum", "--config", cfg, "--h", "1e-12"]) == 3
         assert f"at most {MAX_AXIS_POINTS}" in assert_config_error(capsys)
+
+    def test_product_grid_budget(self, tmp_path, capsys):
+        # two full axes fill the budget; a third axis of 3 points exceeds it
+        at_budget = {"axes": ["[0,1]", "[0,1]"], "mesh": {"h": 1e-4}}
+        problem, _ = cli.build_problem(at_budget)
+        assert math.prod(len(g.points) for g in problem.grids) == MAX_AXIS_POINTS**2
+        over = dict(at_budget, axes=["[0,1]", "[0,1]", "0,1,2"])
+        with pytest.raises(cli.ConfigError, match="product grid needs"):
+            cli.build_problem(over)
+        cfg = write_config(tmp_path, **over)
+        assert cli.main(["spectrum", "--config", cfg]) == 3
+        assert f"at most {MAX_AXIS_POINTS**2}" in assert_config_error(capsys)
 
 
 def full_config(tmp_path) -> dict:

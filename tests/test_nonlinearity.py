@@ -18,7 +18,6 @@ from tselliptic.nonlinearity import (
     nemytskii,
     parse,
     to_string,
-    uses_u,
 )
 from tselliptic.operator import weighted_norm
 from tselliptic.timescale import (
@@ -113,7 +112,6 @@ class TestParser:
     def test_x_alias(self):
         assert parse("x") == Var("x1")
         assert max_coordinate(parse("x2*u")) == 2
-        assert uses_u(parse("x1")) is False
 
     def test_roundtrip_corpus(self):
         bindings = {"c0": 1.0, "c1": 2.0, "c2": 3.0}

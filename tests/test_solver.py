@@ -9,6 +9,7 @@ from tselliptic.solver import (
     Problem,
     SolverConfig,
     Status,
+    _cramer,
     _dense_operator,
     apply_operator,
     apriori_radius,
@@ -457,9 +458,12 @@ class TestHomotopy:
         [
             ("-3*abs(u) - 1", 1e6, {"homotopy_steps": 1, "max_iter": 200},
              "inner cap: 200 steps reached at tau = 1"),
+            # each tau-step may take 200 steps, but the path stops at max_iter
+            ("-3*abs(u) - 1", 1e6, {"homotopy_steps": 20, "max_iter": 100},
+             "max_iter: 100 iterations reached at tau"),
             ("2", 3.0, {"residual_tol": 1e-300}, "residual "),
         ],
-        ids=["inner-cap", "residual"],
+        ids=["inner-cap", "max-iter", "residual"],
     )
     def test_unconverged_run_names_reason(self, f_text, cbound, config, reason):
         p = make_problem(
@@ -469,6 +473,7 @@ class TestHomotopy:
         )
         sol = homotopy_solve(p)
         assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations <= p.config.max_iter
         assert sol.diagnostics["note"].startswith(reason)
 
     def test_bound_violation_surfaced_not_hidden(self):
@@ -490,6 +495,45 @@ class TestHomotopy:
         assert any(
             abs(s.u.interior.ravel()[0] - 2.1478990) <= 1e-6 for s in res.solutions
         )
+
+
+def nested(stack):
+    """A (S, d, d) stack as the d x d nested list of length-S arrays."""
+    d = stack.shape[-1]
+    return [[stack[:, i, j] for j in range(d)] for i in range(d)]
+
+
+class TestCramer:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_linalg_solve(self, rng, d):
+        # diagonally dominant, so every system is well conditioned
+        stack = rng.uniform(-1.0, 1.0, (500, d, d)) + 2 * d * np.eye(d)
+        r = rng.standard_normal((500, d))
+        got = _cramer(nested(stack), r.T).T
+        want = np.linalg.solve(stack, r[..., None])[..., 0]
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "singular",
+        [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]],
+    )
+    def test_singular_system_not_finite(self, singular):
+        d = len(singular)
+        stack = np.array([singular, 3.0 * np.eye(d)])
+        r = np.ones((d, 2))
+        got = _cramer(nested(stack), r)
+        assert not np.isfinite(got[:, 0]).any()
+        assert np.array_equal(got[:, 1], np.full(d, 1.0 / 3.0))
+
+    def test_sweep_skips_singular_start(self):
+        # A = 2 and f = -2u + c: at u = 0 the difference quotient is -2
+        # exactly, so the Jacobian is 0 and that start never moves
+        p = make_problem(["0,1,2"], "-2*u + c", bindings={"c": 2.0**-20})
+        assert np.array_equal(_dense_operator(p), [[2.0]])
+        res = enumerate_small(p, box=8.0, grid_density=17)
+        assert res.status is Status.NO_REAL_SOLUTION_SUSPECTED
+        assert 0.0 in res.candidates
 
 
 class TestEnumerateSmall:
@@ -534,6 +578,23 @@ class TestEnumerateSmall:
         p2 = make_problem(["0,1,2,3,4,5"], "u")  # 4 interior points
         with pytest.raises(ValueError):
             enumerate_small(p2, box=1.0, grid_density=3)
+
+    def test_three_unknowns_quadratic_roots(self):
+        # Au + u^2 - 4 = 0 with A = tridiag(-1, 2, -1): eliminating u2 and u3
+        # leaves a degree-8 polynomial in u1, which has 6 real roots
+        c = 4.0
+        p = make_problem(["0,1,2,3,4"], "u^2 - c", bindings={"c": c})
+        res = enumerate_small(p, box=10.0, grid_density=25)
+        u1 = np.polynomial.Polynomial([0.0, 1.0])
+        u2 = u1**2 + 2 * u1 - c
+        z = ((u2**2 + 2 * u2 - u1 + 1 - c) ** 2 - (1 + u2 + c)).roots()
+        x = np.sort(z[np.abs(z.imag) <= 1e-9].real)
+        y = x**2 + 2 * x - c
+        oracle = np.stack([x, y, -x + 2 * y + y**2 - c], axis=1)
+        got = np.array(sorted(s.u.interior.tolist() for s in res.solutions))
+        assert got.shape == (6, 3)
+        assert np.abs(got - oracle).max() <= 1e-9
+        assert all(s.residual <= 1e-10 for s in res.solutions)
 
     def test_partial_domain_nonlinearity(self):
         # sqrt(u + 20) is undefined on part of the start lattice; those
