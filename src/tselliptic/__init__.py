@@ -9,8 +9,6 @@ mixed backward-forward second derivative and three solution regimes
 from .nonlinearity import (
     EvaluationError,
     GrowthHypotheses,
-    LipschitzEstimate,
-    OneSidedReport,
     ParseError,
     check_one_sided,
     estimate_lipschitz,
@@ -49,7 +47,6 @@ from .spectral import (
     Spectrum1D,
     TensorSpectrum,
     eigen_shooting,
-    eigen_symmetric_tridiagonal,
     expand,
     lambda1_lower_bound,
     reconstruct,

@@ -74,11 +74,14 @@ def _fmt(x: float) -> str:
 
 def check_config(value, spec=SCHEMA, where: str = "config") -> None:
     """Raise ConfigError at the first value of another JSON type than
-    ``spec`` asks for, or at the first key that it does not name."""
+    ``spec`` asks for, at the first key that it does not name, or at the
+    first NaN or infinity (``json`` reads NaN, Infinity and 1e999)."""
     kind = type(spec) if isinstance(spec, (dict, list)) else spec
     kinds, name = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
     if kind is dict:
         for key, item in value.items():
             if key not in spec and str not in spec:
@@ -165,9 +168,15 @@ def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
     """Command-line flags win; the config's output block supplies defaults."""
     out_cfg = cfg.get("output", {})
     out = args.out if args.out is not None else out_cfg.get("dir")
-    fmt = args.format or next(iter(out_cfg.get("formats", [])), "csv")
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    formats = out_cfg.get("formats", [])
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r} in output.formats")
+    if len(formats) > 1:
+        raise ConfigError(
+            f"output.formats lists {len(formats)} formats; one run writes one"
+        )
+    fmt = args.format or next(iter(formats), "csv")
     outdir = None
     if out is not None:
         outdir = Path(out)

@@ -367,6 +367,27 @@ def evaluate(e: Expression, x: Sequence[float], u: float) -> float:
         raise EvaluationError(f"{err} at x = {tuple(x)}, u = {u}") from None
 
 
+def _grid_point(grids: Sequence[Grid], mask) -> tuple[float, ...]:
+    """First point of the closed product grid where ``mask``, broadcast over
+    the grid, holds."""
+    mask = np.broadcast_to(mask, tuple(len(g.points) for g in grids))
+    idx = np.argwhere(mask)[0]
+    return tuple(float(g.points[j]) for g, j in zip(grids, idx))
+
+
+def _on_grid(e: Expression, grids: Sequence[Grid], u):
+    """f over the closed product grid at u (an array on the grid, or one
+    value for every point), before broadcasting; an undefined value raises
+    EvaluationError naming its grid point."""
+    xs, _ = coordinates(grids)
+    try:
+        return evaluate_arrays(e, xs, u)
+    except EvaluationError as err:
+        if err.mask is not None:
+            err = EvaluationError(f"{err} at grid point {_grid_point(grids, err.mask)}")
+        raise err from None
+
+
 def nemytskii(
     e: Expression, grids: Sequence[Grid], u: GridFunction
 ) -> GridFunction:
@@ -374,19 +395,8 @@ def nemytskii(
     grids = tuple(grids)
     if u.grids != grids:
         raise ValueError("grid function does not live on the given grids")
-    xs, shape = coordinates(grids)
-    try:
-        vals = evaluate_arrays(e, xs, u.values)
-    except EvaluationError as err:
-        where = ""
-        if err.mask is not None:
-            mask = np.broadcast_to(err.mask, shape)
-            idx = tuple(int(j) for j in np.argwhere(mask)[0])
-            point = tuple(float(g.points[j]) for g, j in zip(grids, idx))
-            where = f" at grid point {point}"
-        raise EvaluationError(f"{err}{where}") from None
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), shape).copy()
-    return GridFunction(grids, vals)
+    vals = np.asarray(_on_grid(e, grids, u.values), dtype=float)
+    return GridFunction(grids, np.broadcast_to(vals, u.values.shape))
 
 
 # --- growth hypotheses ----------------------------------------------------
@@ -411,44 +421,29 @@ class GrowthHypotheses:
             raise ValueError("one-sided constant C must be >= 0")
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Sampled lower estimate of the true Lipschitz constant.
-
-    Not a certificate: the solver only uses it when explicitly accepted.
-    """
-
-    value: float
-    samples: int
-
-
 def estimate_lipschitz(
     e: Expression,
     grids: Sequence[Grid],
     u_range: tuple[float, float],
     samples: int = 101,
-) -> LipschitzEstimate:
+) -> float:
     """Max of |df/du| over grid points x and sampled u, by central
-    differences with step 1e-6 * scale."""
+    differences with step 1e-6 * scale.
+
+    A sampled lower estimate of the true Lipschitz constant, not a
+    certificate: the solver only uses it when explicitly accepted.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     lo, hi = u_range
-    grids = tuple(grids)
-    xs, shape = coordinates(grids)
     best = 0.0
     for uv in np.linspace(lo, hi, samples):
         d = 1e-6 * max(1.0, abs(uv))
-        up = evaluate_arrays(e, xs, np.float64(uv + d))
-        dn = evaluate_arrays(e, xs, np.float64(uv - d))
+        up = _on_grid(e, grids, np.float64(uv + d))
+        dn = _on_grid(e, grids, np.float64(uv - d))
         slope = np.abs(np.asarray(up) - np.asarray(dn)) / (2.0 * d)
-        best = max(best, float(np.broadcast_to(slope, shape).max()))
-    return LipschitzEstimate(value=best, samples=samples)
-
-
-@dataclass(frozen=True)
-class OneSidedReport:
-    passed: bool
-    witness: tuple[tuple[float, ...], float] | None  # (x, eta)
+        best = max(best, float(np.max(slope)))
+    return best
 
 
 def check_one_sided(
@@ -458,18 +453,15 @@ def check_one_sided(
     cbound: float,
     u_range: tuple[float, float],
     samples: int = 101,
-) -> OneSidedReport:
-    """Sample f(x, eta) * eta <= alpha * eta^2 + C; report a violation."""
+) -> tuple[tuple[float, ...], float] | None:
+    """Sample f(x, eta) * eta <= alpha * eta^2 + C; return the first
+    violation as (x, eta), or None when every sample holds."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    grids = tuple(grids)
-    xs, shape = coordinates(grids)
     for eta in np.linspace(u_range[0], u_range[1], samples):
-        lhs = np.asarray(evaluate_arrays(e, xs, np.float64(eta))) * eta
+        lhs = np.asarray(_on_grid(e, grids, np.float64(eta))) * eta
         rhs = alpha * eta**2 + cbound
-        bad = np.broadcast_to(lhs > rhs + 1e-9 * (1.0 + abs(rhs)), shape)
+        bad = lhs > rhs + 1e-9 * (1.0 + abs(rhs))
         if bad.any():
-            idx = tuple(int(j) for j in np.argwhere(bad)[0])
-            x = tuple(float(g.points[j]) for g, j in zip(grids, idx))
-            return OneSidedReport(passed=False, witness=(x, float(eta)))
-    return OneSidedReport(passed=True, witness=None)
+            return _grid_point(grids, bad), float(eta)
+    return None

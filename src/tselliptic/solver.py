@@ -203,10 +203,13 @@ def residual(problem: Problem, u: GridFunction) -> float:
     """
     if u.boundary_max() > 1e-12:
         raise ValueError("residual requires zero boundary values")
+    return _residual(problem, u, nl.nemytskii(problem.f, problem.grids, u))
+
+
+def _residual(problem: Problem, u: GridFunction, Fu: GridFunction) -> float:
+    """:func:`residual` of a u with zero boundary values, given F(u)."""
     Au = apply_operator(problem.operators, u)
-    Fu = nl.nemytskii(problem.f, problem.grids, u)
-    r = u.with_interior(Au.interior + Fu.interior)
-    return product_delta_norm(r)
+    return product_delta_norm(u.with_interior(Au.interior + Fu.interior))
 
 
 def apriori_radius(
@@ -231,10 +234,10 @@ def _resolve_lipschitz(problem: Problem) -> tuple[float, bool]:
             "accept_estimated_L to use the sampled estimate"
         )
     box = problem.config.box
-    est = nl.estimate_lipschitz(
+    L = nl.estimate_lipschitz(
         problem.f, problem.grids, (-box, box), max(problem.config.density, 11)
     )
-    return est.value, True
+    return L, True
 
 
 def picard_solve(problem: Problem) -> Solution:
@@ -264,8 +267,9 @@ def picard_solve(problem: Problem) -> Solution:
         prev_step = None
         first_step = None
         with np.errstate(over="ignore", invalid="ignore"):
+            # F of each iterate serves its residual and the next step
+            Fu = nl.nemytskii(problem.f, problem.grids, u)
             for it in range(1, cfg.max_iter + 1):
-                Fu = nl.nemytskii(problem.f, problem.grids, u)
                 u_next = spectral_inverse(
                     problem.spectra, Fu.with_interior(-Fu.interior)
                 )
@@ -278,7 +282,8 @@ def picard_solve(problem: Problem) -> Solution:
                 if first_step is None:
                     first_step = step
                 u = u_next
-                res = residual(problem, u)
+                Fu = nl.nemytskii(problem.f, problem.grids, u)
+                res = _residual(problem, u, Fu)
                 if res <= cfg.residual_tol:
                     status = Status.CONVERGED
                     break
@@ -343,13 +348,13 @@ def homotopy_solve(problem: Problem) -> Solution:
     radius = apriori_radius(lam1, hyp.alpha, hyp.cbound, problem.volume)
     if not cfg.assume_hypotheses:
         span = max(10.0, 2.0 * radius)
-        report = nl.check_one_sided(
+        witness = nl.check_one_sided(
             problem.f, problem.grids, hyp.alpha, hyp.cbound, (-span, span)
         )
-        if not report.passed:
+        if witness is not None:
             raise HypothesisError(
-                f"one-sided condition violated at x = {report.witness[0]}, "
-                f"eta = {report.witness[1]}"
+                f"one-sided condition violated at x = {witness[0]}, "
+                f"eta = {witness[1]}"
             )
     risk = hyp.L is not None and hyp.L >= lam1 * (1.0 - 1e-9)
     diag = {

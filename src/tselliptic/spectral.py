@@ -54,35 +54,16 @@ class InsufficientRootsError(RuntimeError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricTridiagonal:
-    """Symmetric tridiagonal matrix similar to a Dirichlet operator."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-
-def symmetrize(op: op_mod.DirichletOperator1D) -> SymmetricTridiagonal:
-    """Similarity transform S = W^{1/2} A W^{-1/2} with W = diag(w), the
-    interior grid weights.
+def symmetrize(op: op_mod.DirichletOperator1D) -> np.ndarray:
+    """Off-diagonal of the similarity transform S = W^{1/2} A W^{-1/2} with
+    W = diag(w), the interior grid weights; S's diagonal is ``op.diag``.
 
     S shares A's eigenvalues and is Euclidean-symmetric, so a standard
     symmetric tridiagonal eigensolver applies.  Its off-diagonal is
     sup_i sqrt(w_i / w_{i+1}) = -1 / (mu_i sqrt(w_i w_{i+1})).
     """
     w = op.weight
-    off = -1.0 / (op.grid.mu[1:-1] * np.sqrt(w[:-1] * w[1:]))
-    return SymmetricTridiagonal(diag=op.diag.copy(), off=off)
-
-
-def eigen_symmetric_tridiagonal(
-    S: SymmetricTridiagonal, k: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
-    n = len(S.diag)
-    if k is None or k >= n:
-        return eigh_tridiagonal(S.diag, S.off)
-    return eigh_tridiagonal(S.diag, S.off, select="i", select_range=(0, k - 1))
+    return -1.0 / (op.grid.mu[1:-1] * np.sqrt(w[:-1] * w[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,23 +106,22 @@ class Spectrum1D:
 
 
 def spectrum_1d(grid: Grid, k: int | None = None) -> Spectrum1D:
-    """Matrix-route spectrum of the Dirichlet problem on a grid."""
+    """Matrix-route spectrum of the Dirichlet problem on a grid: the k
+    smallest eigenpairs (all when k is None) of the symmetrized operator."""
     if grid.n_interior < 1:
         raise EmptyInteriorError("grid has no interior points")
     A = op_mod.assemble(grid)
-    S = symmetrize(A)
-    w, V = eigen_symmetric_tridiagonal(S, k)
+    top = {} if k is None or k >= A.n else {"select": "i", "select_range": (0, k - 1)}
+    w, V = eigh_tridiagonal(A.diag, symmetrize(A), **top)
     phis = np.zeros((len(w), len(grid.points)))
-    phis[:, 1:-1] = (V / np.sqrt(A.weight)[:, None]).T
+    inner = phis[:, 1:-1]
+    np.divide(V.T, np.sqrt(A.weight), out=inner)
     # Euclidean-orthonormal V makes these orthonormal in the grid weights
     # already; renormalize to remove solver rounding and fix the sign.
-    for row in phis:
-        nrm = math.sqrt(float(np.dot(row**2, grid.weights)))
-        row /= nrm
-        scale = np.max(np.abs(row[1:-1]))
-        nz = np.nonzero(np.abs(row[1:-1]) > 1e-12 * scale)[0]
-        if len(nz) and row[1:-1][nz[0]] < 0:
-            row *= -1.0
+    phis /= np.sqrt([np.dot(row**2, grid.weights) for row in phis])[:, None]
+    scale = np.maximum(inner.max(axis=1), -inner.min(axis=1))[:, None] * 1e-12
+    first = np.argmax((inner > scale) | (inner < -scale), axis=1)
+    phis *= np.where(inner[np.arange(len(w)), first] < 0, -1.0, 1.0)[:, None]
     phis.flags.writeable = False
     return Spectrum1D(grid=grid, eigenvalues=w, phis=phis)
 

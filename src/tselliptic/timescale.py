@@ -285,7 +285,6 @@ class Grid:
 
     points: np.ndarray
     source: TimeScale
-    mesh: MeshParams
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -393,7 +392,7 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
             for seg in ts.segments
         ]
     )
-    return Grid(points=points, source=ts, mesh=mesh)
+    return Grid(points=points, source=ts)
 
 
 def _axes(grids: Grid | Sequence[Grid]) -> tuple[Grid, ...]:

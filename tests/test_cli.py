@@ -335,6 +335,18 @@ class TestOutputConfig:
         assert (outdir / "eigenvalues.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize(
+        "formats, flag",
+        [(["bogus"], "csv"), (["csv", "bogus"], None), (["json", "csv"], None)],
+    )
+    def test_formats_checked_in_full(self, tmp_path, capsys, formats, flag):
+        # an unknown entry anywhere, or two entries when one format is written
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, **BASE, output={"formats": formats})
+        argv = ["solve", "--config", cfg, "--out", str(out)]
+        assert cli.main(argv + (["--format", flag] if flag else [])) == 3
+        assert "output.formats" in assert_config_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "greens"])
     @pytest.mark.parametrize("where", ["config", "flag"])
@@ -397,6 +409,18 @@ BAD_CONFIGS = {
     },
 }
 
+# Python's json reads NaN, Infinity and 1e999 (as inf); each must exit 3.
+NON_FINITE_CONFIGS = {
+    "hypotheses.L NaN": '{"axes": ["0,1,2,3"], "f": "0.5*u", "hypotheses": {"L": NaN}}',
+    "hypotheses.L 1e999": '{"axes": ["0,1,2,3"], "f": "0.5*u", "hypotheses": {"L": 1e999}}',
+    "solver.box Infinity": (
+        '{"axes": ["0,1,2"], "f": "u^2 - 1", '
+        '"solver": {"method": "enumerate", "box": Infinity}}'
+    ),
+    "mesh.h 1e999": '{"axes": ["[0,1]"], "mesh": {"h": 1e999}, "hypotheses": {"L": 0}}',
+    "params.a -Infinity": '{"axes": ["0,1,2,3"], "f": "a*u", "params": {"a": -Infinity}}',
+}
+
 
 def assert_config_error(capsys):
     out, err = capsys.readouterr()
@@ -412,6 +436,13 @@ class TestConfigSchema:
         cfg = write_config(tmp_path, **{**BASE, **BAD_CONFIGS[case]})
         assert cli.main(["solve", "--config", cfg]) == 3
         assert_config_error(capsys)
+
+    @pytest.mark.parametrize("case", list(NON_FINITE_CONFIGS))
+    def test_non_finite_number_exits_3(self, tmp_path, capsys, case):
+        path = tmp_path / "cfg.json"
+        path.write_text(NON_FINITE_CONFIGS[case])
+        assert cli.main(["solve", "--config", str(path)]) == 3
+        assert "must be finite" in assert_config_error(capsys)
 
     def test_force_string_cannot_skip_contraction_gate(self, tmp_path, capsys):
         # L = 5 is above lambda_1 = 1, so only a real `true` may skip the gate

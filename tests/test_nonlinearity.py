@@ -22,6 +22,7 @@ from tselliptic.nonlinearity import (
 from tselliptic.operator import weighted_norm
 from tselliptic.timescale import (
     GridFunction,
+    MeshParams,
     ProductGridFunction,
     TimeScale,
     discretize,
@@ -217,15 +218,15 @@ class TestNemytskii:
 class TestLipschitzEstimate:
     def test_linear(self):
         est = estimate_lipschitz(parse("-2*u"), (G4,), (-5.0, 5.0))
-        assert est.value == pytest.approx(2.0, abs=1e-6)
+        assert est == pytest.approx(2.0, abs=1e-6)
 
     def test_constant(self):
         est = estimate_lipschitz(parse("7"), (G4,), (-5.0, 5.0))
-        assert est.value == 0.0
+        assert est == 0.0
 
     def test_quadratic_range(self):
         est = estimate_lipschitz(parse("1+u^2"), (G4,), (-5.0, 5.0))
-        assert est.value == pytest.approx(10.0, abs=1e-4)
+        assert est == pytest.approx(10.0, abs=1e-4)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -234,18 +235,38 @@ class TestLipschitzEstimate:
 
 class TestOneSided:
     def test_negative_linear_passes(self):
-        rep = check_one_sided(parse("-u"), (G4,), 0.5, 0.0, (-10.0, 10.0))
-        assert rep.passed and rep.witness is None
+        assert check_one_sided(parse("-u"), (G4,), 0.5, 0.0, (-10.0, 10.0)) is None
 
     def test_positive_linear_fails_large_eta(self):
-        rep = check_one_sided(parse("2*u"), (G4,), 0.9, 5.0, (-10.0, 10.0))
-        assert not rep.passed
-        x, eta = rep.witness
+        x, eta = check_one_sided(parse("2*u"), (G4,), 0.9, 5.0, (-10.0, 10.0))
+        assert x == (0.0,)
         assert abs(eta) > 2.0
 
     def test_superlinear_fails(self):
-        rep = check_one_sided(parse("1+u^2"), (G4,), 0.9, 100.0, (-50.0, 50.0))
-        assert not rep.passed
+        assert check_one_sided(parse("1+u^2"), (G4,), 0.9, 100.0, (-50.0, 50.0))
+
+    def test_witness_names_the_grid_point(self):
+        # (2 eta + x1) eta <= 2 eta^2 fails at eta = 1 wherever x1 > 0
+        g = discretize(TimeScale.parse("[0,1]"), MeshParams(h=0.25))
+        x, eta = check_one_sided(parse("2*u + x"), (g, g), 2.0, 0.0, (0.0, 1.0), 2)
+        assert (x, eta) == ((0.25, 0.0), 1.0)
+
+
+class TestUndefinedOnGrid:
+    """Every evaluation over a grid names the point where f is undefined."""
+
+    def test_one_sided(self):
+        with pytest.raises(EvaluationError, match=r"at grid point \(0\.0,\)"):
+            check_one_sided(parse("sqrt(u)"), (G4,), 0.5, 1.0, (-10.0, 10.0))
+
+    def test_lipschitz(self):
+        with pytest.raises(EvaluationError, match=r"at grid point \(0\.0,\)"):
+            estimate_lipschitz(parse("sqrt(u)"), (G4,), (-1.0, 1.0))
+
+    def test_coordinate_dependent(self):
+        # 1/(x - 2) is undefined only at x = 2, whatever u is
+        with pytest.raises(EvaluationError, match=r"at grid point \(2\.0,\)"):
+            estimate_lipschitz(parse("u/(x - 2)"), (G4,), (-1.0, 1.0))
 
 
 class TestGrowthHypotheses:

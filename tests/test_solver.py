@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tselliptic import nonlinearity as nl
 from tselliptic.nonlinearity import GrowthHypotheses, parse
 from tselliptic.solver import (
     HypothesisError,
@@ -212,6 +213,30 @@ class TestPicard:
         assert sol.status is Status.CONVERGED
         assert sol.diagnostics["L_is_estimate"]
         assert sol.diagnostics["L"] == pytest.approx(0.25, abs=1e-5)
+
+    def test_one_f_evaluation_per_iteration(self, monkeypatch):
+        # F of each iterate serves its residual and the next step
+        calls = []
+        evaluate = nl.nemytskii
+        monkeypatch.setattr(
+            nl, "nemytskii", lambda *a: calls.append(1) or evaluate(*a)
+        )
+        p = make_problem(
+            ["[0,1],2,3"], "0.3*sin(u) + 1 + x", mesh=MeshParams(h=1e-2),
+            hyp=GrowthHypotheses(L=0.3),
+        )
+        sol = picard_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert len(calls) == sol.iterations + 1
+        assert sol.residual == residual(p, sol.u)
+
+    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
+    def test_undefined_f_names_grid_point(self, solve):
+        cfg = SolverConfig(accept_estimated_L=True)
+        hyp = GrowthHypotheses(alpha=0.5, cbound=1.0)
+        p = make_problem(["0,1,2,3"], "sqrt(u)", hyp=hyp, config=cfg)
+        with pytest.raises(nl.EvaluationError, match=r"at grid point \(0\.0,\)"):
+            solve(p)
 
     def test_2d_nonlinear_contraction(self):
         p = make_problem(

@@ -7,7 +7,6 @@ from tselliptic.operator import apply, assemble
 from tselliptic.spectral import (
     InsufficientRootsError,
     eigen_shooting,
-    eigen_symmetric_tridiagonal,
     expand,
     lambda1_lower_bound,
     reconstruct,
@@ -54,19 +53,17 @@ def char_poly_roots(diag, off):
 class TestSymmetrize:
     def test_uniform_grid_unchanged(self):
         op = assemble(discretize(CONT, MeshParams(h=0.5)))
-        S = symmetrize(op)
-        assert np.allclose(S.diag, op.diag, rtol=0, atol=1e-15)
-        assert np.allclose(S.off, op.sup[:-1], rtol=0, atol=1e-15)
+        assert np.allclose(symmetrize(op), op.sup[:-1], rtol=0, atol=1e-15)
 
     def test_unit_grid_matrix(self):
-        S = symmetrize(assemble(discretize(DISCRETE)))
-        assert np.array_equal(S.diag, [2.0, 2.0])
-        assert np.array_equal(S.off, [-1.0])
+        op = assemble(discretize(DISCRETE))
+        assert np.array_equal(op.diag, [2.0, 2.0])
+        assert np.array_equal(symmetrize(op), [-1.0])
 
     def test_single_interior(self):
-        S = symmetrize(assemble(discretize(TimeScale.parse("5,7,10"))))
-        assert S.diag[0] == pytest.approx(5.0 / 18.0, abs=1e-15)
-        assert len(S.off) == 0
+        op = assemble(discretize(TimeScale.parse("5,7,10")))
+        assert op.diag[0] == pytest.approx(5.0 / 18.0, abs=1e-15)
+        assert len(symmetrize(op)) == 0
 
     def test_similar_to_operator(self, rng):
         # S = W^{1/2} A W^{-1/2} entrywise on a random nonuniform grid
@@ -75,40 +72,41 @@ class TestSymmetrize:
             op = assemble(g)
             if op.n < 2:
                 continue
-            S = symmetrize(op)
+            off = symmetrize(op)
             w = np.sqrt(op.weight)
-            assert np.allclose(S.off, op.sup[:-1] * w[:-1] / w[1:], rtol=1e-14)
-            assert np.allclose(S.off, op.sub[1:] * w[1:] / w[:-1], rtol=1e-14)
+            assert np.allclose(off, op.sup[:-1] * w[:-1] / w[1:], rtol=1e-14)
+            assert np.allclose(off, op.sub[1:] * w[1:] / w[:-1], rtol=1e-14)
 
 
 class TestEigenSymmetricTridiagonal:
+    """The symmetric eigenproblem that spectrum_1d solves: the rows of
+    phis scaled by sqrt(w) are the eigenvectors of S = W^{1/2} A W^{-1/2}."""
+
+    @staticmethod
+    def eigenvectors(s, op):
+        return s.phis[:, 1:-1] * np.sqrt(op.weight)
+
     def test_2x2(self):
-        S = symmetrize(assemble(discretize(DISCRETE)))
-        w, V = eigen_symmetric_tridiagonal(S)
-        assert np.allclose(w, [1.0, 3.0], rtol=0, atol=1e-14)
-        assert np.allclose(V.T @ V, np.eye(2), rtol=0, atol=1e-14)
-
-    def test_diagonal(self):
-        from tselliptic.spectral import SymmetricTridiagonal
-
-        d = np.array([3.0, 1.0, 2.0])
-        S = SymmetricTridiagonal(diag=d, off=np.zeros(2))
-        w, _ = eigen_symmetric_tridiagonal(S)
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
+        g = discretize(DISCRETE)
+        s = spectrum_1d(g)
+        V = self.eigenvectors(s, assemble(g))
+        assert np.allclose(s.eigenvalues, [1.0, 3.0], rtol=0, atol=1e-14)
+        assert np.allclose(V @ V.T, np.eye(2), rtol=0, atol=1e-14)
 
     def test_against_char_poly_oracle(self):
         # 10 interior points -> a 10x10 symmetric tridiagonal problem
         g = discretize(TimeScale.parse("[0,1]"), MeshParams(counts=(12,)))
-        S = symmetrize(assemble(g))
-        w, V = eigen_symmetric_tridiagonal(S)
-        oracle = char_poly_roots(S.diag, S.off)
+        op = assemble(g)
+        off = symmetrize(op)
+        s = spectrum_1d(g)
+        w, V = s.eigenvalues, self.eigenvectors(s, op)
+        oracle = char_poly_roots(op.diag, off)
         assert np.abs(w - oracle).max() <= 1e-8 * np.abs(oracle).max()
         # residual per pair
-        n = len(S.diag)
-        M = np.diag(S.diag) + np.diag(S.off, 1) + np.diag(S.off, -1)
+        M = np.diag(op.diag) + np.diag(off, 1) + np.diag(off, -1)
         norm_S = np.abs(M).sum(axis=1).max()
-        for k in range(n):
-            r = M @ V[:, k] - w[k] * V[:, k]
+        for k in range(op.n):
+            r = M @ V[k] - w[k] * V[k]
             assert np.linalg.norm(r) <= 1e-10 * norm_S
 
 
