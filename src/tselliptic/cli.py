@@ -200,10 +200,13 @@ def cmd_spectrum(args) -> int:
     outdir, fmt = _resolve_output(args, cfg)
 
     entries = sp.tensor_spectrum(problem.spectra, args.k or 8).entries
+    # the first listed eigenvalue: Problem.lambda1 comes from a k = 1
+    # eigensolve, which can differ from the full one in the tenth digit
+    lam1 = float(entries[0][1])
 
     lower = problem.lambda1_lower_bound
     print(",".join(format(l, ".12g") for _, l in entries))
-    print(f"lambda1 = {problem.lambda1:.12g}")
+    print(f"lambda1 = {lam1:.12g}")
     print(f"lower bound = {lower:.12g}")
     shoot_lam1 = None
     if problem.n == 1:
@@ -216,7 +219,7 @@ def cmd_spectrum(args) -> int:
                 "eigenvalues": [
                     {"index": list(idx), "lambda": l} for idx, l in entries
                 ],
-                "lambda1": problem.lambda1,
+                "lambda1": lam1,
                 "lambda1_lower_bound": lower,
             }
             if shoot_lam1 is not None:
@@ -357,6 +360,8 @@ def _read_function_file(path: str, grid) -> GridFunction:
         values = [data[float(t)] for t in grid.points]
     except KeyError as missing:
         raise ConfigError(f"function file misses grid point {missing}") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"function file {path} has a value that is not finite")
     return GridFunction(grid, np.array(values))
 
 

@@ -375,16 +375,18 @@ def _grid_point(grids: Sequence[Grid], mask) -> tuple[float, ...]:
     return tuple(float(g.points[j]) for g, j in zip(grids, idx))
 
 
-def _on_grid(e: Expression, grids: Sequence[Grid], u):
+def _on_grid(e: Expression, grids: Sequence[Grid], u, sample: str = ""):
     """f over the closed product grid at u (an array on the grid, or one
     value for every point), before broadcasting; an undefined value raises
-    EvaluationError naming its grid point."""
+    EvaluationError naming its grid point, then ``sample``, with which a
+    caller that samples u names the sample (", u = -10")."""
     xs, _ = coordinates(grids)
     try:
         return evaluate_arrays(e, xs, u)
     except EvaluationError as err:
         if err.mask is not None:
-            err = EvaluationError(f"{err} at grid point {_grid_point(grids, err.mask)}")
+            point = _grid_point(grids, err.mask)
+            err = EvaluationError(f"{err} at grid point {point}{sample}")
         raise err from None
 
 
@@ -439,8 +441,9 @@ def estimate_lipschitz(
     best = 0.0
     for uv in np.linspace(lo, hi, samples):
         d = 1e-6 * max(1.0, abs(uv))
-        up = _on_grid(e, grids, np.float64(uv + d))
-        dn = _on_grid(e, grids, np.float64(uv - d))
+        sample = f", u = {uv:g}"
+        up = _on_grid(e, grids, np.float64(uv + d), sample)
+        dn = _on_grid(e, grids, np.float64(uv - d), sample)
         slope = np.abs(np.asarray(up) - np.asarray(dn)) / (2.0 * d)
         best = max(best, float(np.max(slope)))
     return best
@@ -459,7 +462,8 @@ def check_one_sided(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     for eta in np.linspace(u_range[0], u_range[1], samples):
-        lhs = np.asarray(_on_grid(e, grids, np.float64(eta))) * eta
+        f_eta = _on_grid(e, grids, np.float64(eta), f", eta = {eta:g}")
+        lhs = np.asarray(f_eta) * eta
         rhs = alpha * eta**2 + cbound
         bad = lhs > rhs + 1e-9 * (1.0 + abs(rhs))
         if bad.any():

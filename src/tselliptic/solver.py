@@ -3,8 +3,10 @@
 The problem -Laplacian(u) + f(x, u) = 0 with zero boundary values is the
 operator equation Au = -F(u), so the fixed-point map iterated here is
 u <- Ainv(-F(u)).  One Kronecker-sum function applies A (the dense matrix
-of a small system is A applied to the identity); Ainv goes into the product
-eigenbasis one axis at a time and back, which is exact in finite dimension.
+of a small system is A applied to the identity).  Both solvers apply Ainv
+through one function: in 1D A is tridiagonal and Ainv is one O(n) banded
+elimination; in higher dimensions Ainv goes into the product eigenbasis one
+axis at a time and back.  Both are exact in finite dimension.
 
 Three regimes:
 
@@ -131,9 +133,10 @@ class Problem:
     def spectra(self) -> tuple[sp.Spectrum1D, ...]:
         return tuple(sp.spectrum_1d(g) for g in self.grids)
 
-    @property
+    @functools.cached_property
     def lambda1(self) -> float:
-        return float(sum(s.eigenvalues[0] for s in self.spectra))
+        # one eigenpair per axis; the full eigenbasis waits for a caller
+        return float(sum(sp.spectrum_1d(g, 1).eigenvalues[0] for g in self.grids))
 
     @property
     def lambda1_lower_bound(self) -> float:
@@ -193,6 +196,14 @@ def spectral_inverse(
     coeff = sp._axis_apply(f.interior, [s.phis[:, 1:-1] for s in spectra], weights)
     coeff /= functools.reduce(np.add.outer, [s.eigenvalues for s in spectra])
     return f.with_interior(sp._axis_apply(coeff, [s._synthesis for s in spectra]))
+
+
+def _inverse(problem: Problem, f: GridFunction) -> GridFunction:
+    """The solvers' Ainv: one banded elimination in 1D, where A is
+    tridiagonal, and the per-axis eigenbasis transform otherwise."""
+    if problem.n == 1:
+        return op_mod.tridiag_solve(problem.operators[0], f)
+    return spectral_inverse(problem.spectra, f)
 
 
 def residual(problem: Problem, u: GridFunction) -> float:
@@ -270,9 +281,7 @@ def picard_solve(problem: Problem) -> Solution:
             # F of each iterate serves its residual and the next step
             Fu = nl.nemytskii(problem.f, problem.grids, u)
             for it in range(1, cfg.max_iter + 1):
-                u_next = spectral_inverse(
-                    problem.spectra, Fu.with_interior(-Fu.interior)
-                )
+                u_next = _inverse(problem, Fu.with_interior(-Fu.interior))
                 step = product_delta_norm(
                     u_next.with_interior(u_next.interior - u.interior)
                 )
@@ -378,9 +387,7 @@ def homotopy_solve(problem: Problem) -> Solution:
             for k in range(cap):
                 total_iters += 1
                 Fu = nl.nemytskii(problem.f, problem.grids, u)
-                Tu = spectral_inverse(
-                    problem.spectra, Fu.with_interior(-tau * Fu.interior)
-                )
+                Tu = _inverse(problem, Fu.with_interior(-tau * Fu.interior))
                 g = Tu.interior - u.interior
                 step = product_delta_norm(u.with_interior(g))
                 if not math.isfinite(step):

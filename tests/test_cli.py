@@ -208,6 +208,25 @@ class TestSolve:
         assert err == ""
         assert json.loads(out)["note"].startswith("non-finite")
 
+    @pytest.mark.parametrize(
+        "config, sample",
+        [
+            ({"solver": {"accept_estimated_L": True}}, "u = -10"),
+            ({"hypotheses": {"alpha": 0.5, "C": 1}, "solver": {"method": "homotopy"}},
+             "eta = -10"),
+        ],
+        ids=["lipschitz", "one-sided"],
+    )
+    def test_undefined_f_names_sampled_u(self, tmp_path, capsys, config, sample):
+        # sqrt(u) is defined at every grid point of the iterates; the
+        # sampled range (-box, box) of the hypothesis checks is not
+        cfg = write_config(tmp_path, axes=["0,1,2,3"], f="sqrt(u) + 1", **config)
+        assert cli.main(["solve", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: square root of a negative value at grid point (0.0,), "
+            f"{sample}\n"
+        )
+
     def test_homotopy_missing_hypotheses_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, axes=["0,1,2,3"], f="-u")
         assert cli.main(["solve", "--config", cfg, "--method", "homotopy"]) == 3
@@ -265,6 +284,15 @@ class TestGreens:
             )
             == 3
         )
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_apply_file_non_finite_exit_3(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, axes=["0,1,2,3"])
+        ffile = tmp_path / "f.csv"
+        ffile.write_text(f"0,0\n1,{value}\n2,1\n3,0\n")
+        argv = ["greens", "--config", cfg, "--t", "1", "--s", "1", "--apply", str(ffile)]
+        assert cli.main(argv) == 3
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestReproduce:

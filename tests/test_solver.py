@@ -95,6 +95,17 @@ class TestSpectralInverse:
         exact = np.linalg.solve(_dense_operator(p), f.interior.ravel())
         assert np.abs(u.interior.ravel() - exact).max() <= 1e-12
 
+    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
+    @pytest.mark.parametrize("axes", [["[0,1],2,3"], ["[0,1],2,3", "0,1,2,3"]])
+    def test_only_nd_solves_build_the_eigenbasis(self, solve, axes):
+        # in 1D the solvers invert by banded elimination
+        p = make_problem(
+            axes, "0.3*sin(u) + 1 + x1", mesh=MeshParams(h=1e-2),
+            hyp=GrowthHypotheses(L=0.3, alpha=0.5, cbound=10.0),
+        )
+        assert solve(p).status is Status.CONVERGED
+        assert ("spectra" in p.__dict__) == (len(axes) > 1)
+
 
 class TestApplyOperator:
     def test_3d_diagonal_coefficient(self):
@@ -175,6 +186,19 @@ class TestPicard:
         assert sol.status is Status.CONVERGED
         assert sol.contraction_ratio is not None
         assert sol.contraction_ratio <= 0.5 / 1.0 + 0.05
+        assert residual(p, sol.u) <= 1e-8
+
+    @pytest.mark.parametrize("h", [5e-4, 2.5e-4])
+    @pytest.mark.parametrize("a, b, c", [(0.3, 1.25, 0.5), (0.5, 2.0, 1.0)])
+    def test_1d_reaches_default_residual_tol(self, h, a, b, c):
+        # at these meshes the rounding floor of the residual stays below
+        # the default residual_tol 1e-8
+        p = make_problem(
+            ["[0,1],2,3"], "a*sin(u) + b + c*x", bindings={"a": a, "b": b, "c": c},
+            mesh=MeshParams(h=h), hyp=GrowthHypotheses(L=a),
+        )
+        sol = picard_solve(p)
+        assert sol.status is Status.CONVERGED
         assert residual(p, sol.u) <= 1e-8
 
     def test_refuses_without_contraction(self):
@@ -486,7 +510,8 @@ class TestHomotopy:
             # each tau-step may take 200 steps, but the path stops at max_iter
             ("-3*abs(u) - 1", 1e6, {"homotopy_steps": 20, "max_iter": 100},
              "max_iter: 100 iterations reached at tau"),
-            ("2", 3.0, {"residual_tol": 1e-300}, "residual "),
+            # a loose step tolerance ends each tau-step short of its fixed point
+            ("2 + 0.5*sin(u)", 3.0, {"step_tol": 1e-2}, "residual "),
         ],
         ids=["inner-cap", "max-iter", "residual"],
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -261,8 +262,13 @@ class TestOneAxisProduct:
 
     def test_interchangeable_on_random_grids(self, rng):
         f = parse("u^3 - x1")
-        for _ in range(20):
-            g = random_grid(rng)
+        # random grids, then one and two interior points and a discrete-only scale
+        edge = ("0,1,3", "[0,1],3", "0,0.25,1,2.5,3,7")
+        grids = itertools.chain(
+            (random_grid(rng) for _ in range(20)),
+            (discretize(TimeScale.parse(t), MeshParams(h=0.5)) for t in edge),
+        )
+        for g in grids:
             u = random_dirichlet(rng, g)
             p = ProductGridFunction((g,), u.values)
             assert p.grids == u.grids == (g,)
