@@ -8,16 +8,21 @@ through one function: in 1D A is tridiagonal and Ainv is one O(n) banded
 elimination; in higher dimensions Ainv goes into the product eigenbasis one
 axis at a time and back.  Both are exact in finite dimension.
 
+One corrector iterates u <- tau * Ainv(-F(u)) for both solvers (tau = 1 for
+Picard, each tau of the homotopy): plain steps, then Anderson mixing of the
+same map once a step grows or plain steps run long, so no Jacobian is needed
+at any size.  Its stops short of convergence (residual floor, non-finite or
+diverging step, cap) have one note text each, shared by both solvers.
+
 Three regimes:
 
 * ``picard_solve`` -- contraction mapping when the Lipschitz constant of f
-  is below the first eigenvalue; refuses to iterate otherwise.
+  is below the first eigenvalue; refuses to iterate otherwise.  A forced
+  run past the gate may still converge through mixing, and then its
+  residual is its only certificate.
 * ``homotopy_solve`` -- continuation u = tau * Ainv(-F(u)) from tau = 0 to
   1 under the one-sided growth condition, with the a priori norm bound
-  enforced along the path; certifies existence by residual only.  Each
-  continuation step takes plain fixed-point steps and switches to Anderson
-  mixing of the same map when a step grows or the plain steps run long, so
-  it needs no Jacobian and works at every size.
+  enforced along the path; certifies existence by residual only.
 * ``enumerate_small`` -- multi-start Newton enumeration of tiny algebraic
   systems (<= 3 unknowns), the honest fallback when neither hypothesis
   holds.  The starts are the columns of one array and each Newton step
@@ -48,12 +53,21 @@ from .timescale import (
 )
 
 
-# Plain fixed-point steps a continuation step takes before Anderson mixing
+# Plain fixed-point steps a corrector call takes before Anderson mixing
 # starts.  Mixing keeps ANDERSON_DEPTH + 1 iterates and steps in memory, so
 # it stays off while plain steps converge: on the homotopy-3d benchmark a
 # continuation step takes at most 12 iterations.
 PLAIN_STEPS = 50
 ANDERSON_DEPTH = 5
+
+# The note of each corrector stop short of convergence; "cap" names the
+# limit it reached, and the homotopy adds the tau it stopped at.
+STOP_NOTES = {
+    "floor": "stalled: step below tolerance with residual above",
+    "non_finite": "non-finite: step or residual is NaN or infinite",
+    "diverged": "diverged: step norm grew by more than 1e6",
+    "cap": "{limit} reached",
+}
 
 
 class HypothesisError(ValueError):
@@ -261,60 +275,20 @@ def picard_solve(problem: Problem) -> Solution:
     L, estimated = _resolve_lipschitz(problem)
     lam1 = problem.lambda1
     ratio_bound = L / lam1
-    diag = {
-        "L": L,
-        "L_is_estimate": estimated,
-        "contraction_bound": ratio_bound,
-        "lambda1_lower_bound": problem.lambda1_lower_bound,
-    }
-    u = problem.constant_function(cfg.initial_guess)
-    it = 0
-    ratio = None
+    diag = {"L": L, "L_is_estimate": estimated, "contraction_bound": ratio_bound,
+            "lambda1_lower_bound": problem.lambda1_lower_bound}
     if ratio_bound >= 1.0 and not cfg.force:
-        status = Status.NON_CONTRACTION
+        u = problem.constant_function(cfg.initial_guess)
         res = residual(problem, u)
-    else:
-        status = Status.MAX_ITERATIONS
-        prev_step = None
-        first_step = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            # F of each iterate serves its residual and the next step
-            Fu = nl.nemytskii(problem.f, problem.grids, u)
-            for it in range(1, cfg.max_iter + 1):
-                u_next = _inverse(problem, Fu.with_interior(-Fu.interior))
-                step = product_delta_norm(
-                    u_next.with_interior(u_next.interior - u.interior)
-                )
-                if prev_step is not None and prev_step > 0:
-                    r = step / prev_step
-                    ratio = r if ratio is None else max(ratio, r)
-                if first_step is None:
-                    first_step = step
-                u = u_next
-                Fu = nl.nemytskii(problem.f, problem.grids, u)
-                res = _residual(problem, u, Fu)
-                if res <= cfg.residual_tol:
-                    status = Status.CONVERGED
-                    break
-                if not (math.isfinite(step) and math.isfinite(res)):
-                    diag["note"] = "non-finite: step or residual is NaN or infinite"
-                    break
-                if step > 1e6 * max(first_step, 1e-300):
-                    diag["note"] = "diverged: step norm grew by more than 1e6"
-                    break
-                if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
-                    diag["note"] = "stalled: step below tolerance with residual above"
-                    break
-                prev_step = step
-    return Solution(
-        u=u,
-        residual=res,
-        status=status,
-        iterations=it,
-        lambda1=lam1,
-        contraction_ratio=ratio,
-        diagnostics=diag,
-    )
+        return Solution(u, res, Status.NON_CONTRACTION, 0, lam1, None, diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _Run.start(problem)
+        _fixed_point(problem, run, 1.0, cfg.max_iter, cfg.residual_tol)
+    status = Status.CONVERGED if run.reason == "converged" else Status.MAX_ITERATIONS
+    if run.reason != "converged":
+        limit = f"max_iter: {cfg.max_iter} iterations"
+        diag["note"] = STOP_NOTES[run.reason].format(limit=limit)
+    return Solution(run.u, run.residual, status, run.steps, lam1, run.ratio, diag)
 
 
 def _dense_operator(problem: Problem) -> np.ndarray:
@@ -338,6 +312,74 @@ def _anderson(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray:
     dg = np.diff(np.reshape(gs, (len(gs), -1)), axis=0).T
     gamma = np.linalg.lstsq(dg, g.ravel(), rcond=None)[0]
     return x + g - ((dx + dg) @ gamma).reshape(x.shape)
+
+
+@dataclass
+class _Run:
+    """An iterate u and F(u), which the corrector advances in place so that
+    no caller holds an earlier iterate, and how its last call ended."""
+
+    u: GridFunction
+    Fu: GridFunction
+    steps: int = 0
+    ratio: float | None = None  # largest ratio of successive step norms
+    residual: float | None = None  # of u, when the call had a residual_tol
+    reason: str = "converged"  # or a key of STOP_NOTES
+
+    @staticmethod
+    def start(problem: Problem) -> _Run:
+        u = problem.constant_function(problem.config.initial_guess)
+        return _Run(u, nl.nemytskii(problem.f, problem.grids, u))
+
+
+def _fixed_point(problem: Problem, run: _Run, tau: float, cap: int,
+                 residual_tol: float | None = None) -> None:
+    """Advance ``run`` by at most ``cap`` steps u <- tau * Ainv(-F(u)): plain
+    steps until one grows by more than 1 % or PLAIN_STEPS pass, then Anderson
+    mixing.  With ``residual_tol`` a residual at or below it converges and a
+    step below ``step_tol`` is the ``floor``; without one that step
+    converges.  An iterate that goes non-finite is kept."""
+    step_tol = problem.config.step_tol
+    xs, gs = [], []  # Anderson history, kept once mixing is on
+    first_step = prev_step = run.ratio = run.residual = None
+    run.steps, run.reason = 0, "cap"
+    for it in range(1, cap + 1):
+        threshold = step_tol * (1.0 + product_delta_norm(run.u))
+        Tu = _inverse(problem, run.Fu.with_interior(-tau * run.Fu.interior))
+        # a plain step keeps no copy of T(u) - u, which bounds peak memory
+        step = product_delta_norm(Tu.with_interior(Tu.interior - run.u.interior))
+        if prev_step is not None:
+            r = step / prev_step
+            run.ratio = r if run.ratio is None else max(run.ratio, r)
+        first_step = step if first_step is None else first_step
+        finite, small = math.isfinite(step), step <= threshold
+        if finite and not small and (
+            xs or it > PLAIN_STEPS or (prev_step is not None and step > prev_step * 1.01)
+        ):
+            xs = (xs + [run.u.interior])[-ANDERSON_DEPTH - 1 :]
+            gs = (gs + [Tu.interior - run.u.interior])[-ANDERSON_DEPTH - 1 :]
+            run.u = run.u.with_interior(_anderson(xs, gs))
+        else:
+            run.u = Tu
+        # F of each iterate serves its residual and the next step
+        run.Fu = nl.nemytskii(problem.f, problem.grids, run.u)
+        run.steps = it
+        if residual_tol is not None:
+            run.residual = _residual(problem, run.u, run.Fu)
+            if run.residual <= residual_tol:
+                run.reason = "converged"
+                return
+            finite = finite and math.isfinite(run.residual)
+        if not finite:
+            run.reason = "non_finite"
+        elif step > 1e6 * max(first_step, 1e-300):
+            run.reason = "diverged"
+        elif small:
+            run.reason = "converged" if residual_tol is None else "floor"
+        else:
+            prev_step = step
+            continue
+        return
 
 
 def homotopy_solve(problem: Problem) -> Solution:
@@ -366,50 +408,26 @@ def homotopy_solve(problem: Problem) -> Solution:
                 f"eta = {witness[1]}"
             )
     risk = hyp.L is not None and hyp.L >= lam1 * (1.0 - 1e-9)
-    diag = {
-        "apriori_radius": radius,
-        "nonuniqueness_risk": risk,
-        "lambda1_lower_bound": problem.lambda1_lower_bound,
-    }
+    diag = {"apriori_radius": radius, "nonuniqueness_risk": risk,
+            "lambda1_lower_bound": problem.lambda1_lower_bound}
     bound_sq = 1.1 * radius**2 + 1e-14
-    u = problem.constant_function(cfg.initial_guess)
     total_iters = 0
     last_good_tau = 0.0
     note = None
     J = cfg.homotopy_steps
     inner_cap = max(200, cfg.max_iter // J)
     with np.errstate(over="ignore", invalid="ignore"):
+        run = _Run.start(problem)
         for j in range(1, J + 1):
             tau = j / J
-            prev_step = math.inf
-            xs, gs = [], []  # Anderson history, kept once mixing is on
             cap = min(inner_cap, cfg.max_iter - total_iters)
-            for k in range(cap):
-                total_iters += 1
-                Fu = nl.nemytskii(problem.f, problem.grids, u)
-                Tu = _inverse(problem, Fu.with_interior(-tau * Fu.interior))
-                g = Tu.interior - u.interior
-                step = product_delta_norm(u.with_interior(g))
-                if not math.isfinite(step):
-                    note = f"non-finite: step is NaN or infinite at tau = {tau:.3g}"
-                    break
-                if step <= cfg.step_tol * (1.0 + product_delta_norm(u)):
-                    u = Tu
-                    break
-                if xs or k >= PLAIN_STEPS or step > prev_step * 1.01:
-                    xs = (xs + [u.interior])[-ANDERSON_DEPTH - 1 :]
-                    gs = (gs + [g])[-ANDERSON_DEPTH - 1 :]
-                    u = u.with_interior(_anderson(xs, gs))
-                else:
-                    u = Tu
-                prev_step = step
-            else:
-                reached = (
-                    f"inner cap: {inner_cap} steps" if cap == inner_cap
-                    else f"max_iter: {cfg.max_iter} iterations"
-                )
-                note = f"{reached} reached at tau = {tau:.3g}"
-            if note is None and (nrm_sq := product_delta_norm(u) ** 2) > bound_sq:
+            _fixed_point(problem, run, tau, cap)
+            total_iters += run.steps
+            if run.reason != "converged":
+                limit = (f"inner cap: {inner_cap} steps" if cap == inner_cap
+                         else f"max_iter: {cfg.max_iter} iterations")
+                note = f"{STOP_NOTES[run.reason].format(limit=limit)} at tau = {tau:.3g}"
+            elif (nrm_sq := product_delta_norm(run.u) ** 2) > bound_sq:
                 note = (
                     f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
                     f"bound {bound_sq:.6g} at tau = {tau:.3g}"
@@ -418,7 +436,7 @@ def homotopy_solve(problem: Problem) -> Solution:
                 diag["last_good_tau"] = last_good_tau
                 break
             last_good_tau = tau
-        res = residual(problem, u)
+        res = _residual(problem, run.u, run.Fu)
     # tau = J / J is exactly 1.0 once every continuation step has succeeded
     converged = last_good_tau == 1.0 and res <= cfg.residual_tol
     if note is None and not converged:
@@ -426,14 +444,7 @@ def homotopy_solve(problem: Problem) -> Solution:
     if note is not None:
         diag["note"] = note
     status = Status.CONVERGED if converged else Status.MAX_ITERATIONS
-    return Solution(
-        u=u,
-        residual=res,
-        status=status,
-        iterations=total_iters,
-        lambda1=lam1,
-        diagnostics=diag,
-    )
+    return Solution(run.u, res, status, total_iters, lam1, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

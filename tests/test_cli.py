@@ -496,12 +496,15 @@ class TestConfigSchema:
         assert cli.main(["solve", "--config", cfg]) == 3
         assert "nested deeper than 100 levels" in assert_config_error(capsys)
 
-    def test_non_finite_json_is_null(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["picard", "homotopy"])
+    def test_non_finite_json_is_null(self, tmp_path, capsys, method):
         def strict(text):
             return json.loads(text, parse_constant=pytest.fail)
 
         cfg = write_config(
-            tmp_path, axes=["0,1,2,3"], f="1e308*10", hypotheses={"L": 0}
+            tmp_path, axes=["0,1,2,3"], f="1e308*10",
+            hypotheses={"L": 0, "alpha": 0, "C": 1},
+            solver={"method": method, "assume_hypotheses": True},
         )
         out = tmp_path / "run"
         argv = ["solve", "--config", cfg, "--out", str(out), "--format", "json"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tselliptic import nonlinearity as nl
+from tselliptic import solver
 from tselliptic.nonlinearity import GrowthHypotheses, parse
 from tselliptic.solver import (
     HypothesisError,
@@ -207,13 +208,29 @@ class TestPicard:
         assert sol.status is Status.NON_CONTRACTION
         assert sol.iterations == 0
 
-    def test_forced_divergence_reported(self):
+    def test_forced_run_converges_through_mixing(self):
+        # L / lambda_1 = 2, so no contraction: the second step grows, mixing
+        # takes over, and the residual alone certifies the solution u = 0
         cfg = SolverConfig(force=True, initial_guess=1.0, max_iter=200)
         p = make_problem(
             ["0,1,2,3"], "2*u", hyp=GrowthHypotheses(L=2.0), config=cfg
         )
         sol = picard_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.contraction_ratio > 1.0
+        assert residual(p, sol.u) <= 1e-8
+        assert np.abs(sol.u.interior).max() <= 1e-8
+
+    def test_forced_run_without_solution_names_cap(self):
+        # Au + 1 + u^2 = 0 has no real solution on 0,1,2,3 (ex-7.8)
+        cfg = SolverConfig(force=True, max_iter=200)
+        p = make_problem(
+            ["0,1,2,3"], "1 + u^2", hyp=GrowthHypotheses(L=2.0), config=cfg
+        )
+        sol = picard_solve(p)
         assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations == 200
+        assert sol.diagnostics["note"] == "max_iter: 200 iterations reached"
 
     def test_non_finite_stops_with_note(self):
         p = make_problem(
@@ -238,18 +255,20 @@ class TestPicard:
         assert sol.diagnostics["L_is_estimate"]
         assert sol.diagnostics["L"] == pytest.approx(0.25, abs=1e-5)
 
-    def test_one_f_evaluation_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
+    def test_one_f_evaluation_per_iteration(self, monkeypatch, solve):
         # F of each iterate serves its residual and the next step
         calls = []
         evaluate = nl.nemytskii
         monkeypatch.setattr(
             nl, "nemytskii", lambda *a: calls.append(1) or evaluate(*a)
         )
+        # |f| <= 4.3, so f u <= 0.5 u^2 + 4.3^2 / 2 and C = 10 will do
         p = make_problem(
             ["[0,1],2,3"], "0.3*sin(u) + 1 + x", mesh=MeshParams(h=1e-2),
-            hyp=GrowthHypotheses(L=0.3),
+            hyp=GrowthHypotheses(L=0.3, alpha=0.5, cbound=10.0),
         )
-        sol = picard_solve(p)
+        sol = solve(p)
         assert sol.status is Status.CONVERGED
         assert len(calls) == sol.iterations + 1
         assert sol.residual == residual(p, sol.u)
@@ -274,6 +293,31 @@ class TestPicard:
         assert residual(p, sol.u) <= 1e-8
         assert sol.contraction_ratio <= 0.3 / 2.0 + 0.05
         assert sol.u.boundary_max() == 0.0
+
+    @pytest.mark.parametrize(
+        "axes, h, a, b, c",
+        [
+            (["[0,1],2,3"], 5e-4, 0.3, 1.25, 0.5),
+            (["[0,1],2,3"], 2.5e-4, 0.3, 1.25, 0.5),
+            (["[0,1],2,3"], 5e-4, 0.5, 2.0, 1.0),
+            (["[0,1],2,3"], 2.5e-4, 0.5, 2.0, 1.0),
+            (["0,1,2,3", "0,1,2,3"], None, 0.3, 1.0, 0.0),
+        ],
+        ids=["1d-5e-4-a", "1d-2.5e-4-a", "1d-5e-4-b", "1d-2.5e-4-b", "2d"],
+    )
+    def test_gated_run_never_mixes(self, monkeypatch, axes, h, a, b, c):
+        # the inputs of test_1d_reaches_default_residual_tol and
+        # test_2d_nonlinear_contraction converge by plain steps alone
+        def no_mixing(*args):
+            raise AssertionError("a gated Picard run switched to mixing")
+
+        monkeypatch.setattr(solver, "_anderson", no_mixing)
+        f = "a*sin(u) + b + c*x" if len(axes) == 1 else "a*sin(u) + b"
+        p = make_problem(
+            axes, f, bindings={"a": a, "b": b, "c": c},
+            mesh=MeshParams(h=h) if h else None, hyp=GrowthHypotheses(L=a),
+        )
+        assert picard_solve(p).status is Status.CONVERGED
 
     def test_contraction_certificate_random(self, rng):
         # ||Ainv(c u) - Ainv(c v)|| <= (c / lambda1) ||u - v||
