@@ -15,7 +15,6 @@ separator and 17 significant digits; plot data is plain two-column text.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -36,6 +35,9 @@ EXIT_CONFIG = 3
 
 METHODS = ("picard", "homotopy", "enumerate")
 FORMATS = ("csv", "json")
+# CSV rows formatted by one % operation: enough to amortise the call, few
+# enough that a chunk's Python floats and text stay small beside the table
+CSV_CHUNK_ROWS = 4096
 
 # The config format.  A dict is an object with those keys ({str: T} takes
 # any key), [T] is a list of T, and a type is the JSON value a key takes.
@@ -66,10 +68,6 @@ _KINDS = {
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def check_config(value, spec=SCHEMA, where: str = "config") -> None:
@@ -143,7 +141,10 @@ def run_method(problem: sv.Problem, method: str):
 
 def _json(obj, **kwargs) -> str:
     """Strict JSON text; a NaN or an infinity is written as null."""
-    return json.dumps(_finite(obj), allow_nan=False, **kwargs)
+    try:  # the encoder checks every float, so finite payloads skip the walk
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_finite(obj), allow_nan=False, **kwargs)
 
 
 def _finite(obj):
@@ -156,12 +157,36 @@ def _finite(obj):
     return obj
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _quote(text: str) -> str:
+    """A CSV cell as csv.writer writes it: quoted when it holds a comma,
+    a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_rows(columns, end: str = "\r\n"):
+    """The rows of equal-length ``columns`` as text, CSV_CHUNK_ROWS rows per
+    string: float columns as %.17g, any other column as quoted text.  The
+    bytes are those of csv.writer given format(v, ".17g") for each float."""
+    cols = [np.asarray(c) for c in columns]
+    floats = [c.dtype.kind == "f" for c in cols]
+    if all(floats):
+        table = np.column_stack(cols)
+    else:
+        table = np.empty((len(cols[0]), len(cols)), dtype=object)
+        for j, (c, is_float) in enumerate(zip(cols, floats)):
+            table[:, j] = c if is_float else [_quote(str(v)) for v in c.tolist()]
+    line = ",".join("%.17g" if is_float else "%s" for is_float in floats) + end
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        chunk = table[start : start + CSV_CHUNK_ROWS]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        fh.writelines(_csv_rows(columns))
 
 
 def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
@@ -199,10 +224,11 @@ def cmd_spectrum(args) -> int:
     problem, _ = build_problem(cfg, h_override=args.h)
     outdir, fmt = _resolve_output(args, cfg)
 
-    entries = sp.tensor_spectrum(problem.spectra, args.k or 8).entries
-    # the first listed eigenvalue: Problem.lambda1 comes from a k = 1
-    # eigensolve, which can differ from the full one in the tenth digit
-    lam1 = float(entries[0][1])
+    # the K smallest sums need at most K eigenpairs of each axis
+    K = args.k or 8
+    spectra = [sp.spectrum_1d(g, K) for g in problem.grids]
+    entries = sp.tensor_spectrum(spectra, K).entries
+    lam1 = problem.lambda1  # the value solve reports
 
     lower = problem.lambda1_lower_bound
     print(",".join(format(l, ".12g") for _, l in entries))
@@ -229,15 +255,16 @@ def cmd_spectrum(args) -> int:
             _write_csv(
                 outdir / "eigenvalues.csv",
                 ["index", "eigenvalue"],
-                [("-".join(map(str, idx)), float(l)) for idx, l in entries],
+                [["-".join(map(str, idx)) for idx, _ in entries],
+                 [float(l) for _, l in entries]],
             )
             if problem.n == 1:
-                spec = problem.spectra[0]
+                spec = spectra[0]
                 for i in range(len(entries)):
                     _write_csv(
                         outdir / f"eigenfunction_{i + 1:02d}.csv",
                         ["t", "phi"],
-                        zip(map(float, spec.grid.points), map(float, spec.phis[i])),
+                        [spec.grid.points, spec.phis[i]],
                     )
     return EXIT_OK
 
@@ -245,24 +272,20 @@ def cmd_spectrum(args) -> int:
 # --- solve ------------------------------------------------------------------
 
 
-def _solution_rows(u: GridFunction):
-    coords = [g.points for g in u.grids]
-    for idx in np.ndindex(*u.values.shape):
-        yield tuple(float(c[i]) for c, i in zip(coords, idx)) + (
-            float(u.values[idx]),
-        )
-
-
 def _write_solution(outdir: Path, name: str, u: GridFunction, fmt: str):
-    axis_names = [f"x{i + 1}" for i in range(u.ndim)]
     if fmt == "json":
         payload = {
-            "axes": [[float(t) for t in g.points] for g in u.grids],
+            "axes": [g.points.tolist() for g in u.grids],
             "values": u.values.tolist(),
         }
         (outdir / f"{name}.json").write_text(_json(payload))
     else:
-        _write_csv(outdir / f"{name}.csv", axis_names + ["u"], _solution_rows(u))
+        coords = np.meshgrid(*(g.points for g in u.grids), indexing="ij")
+        _write_csv(
+            outdir / f"{name}.csv",
+            [f"x{i + 1}" for i in range(u.ndim)] + ["u"],
+            [c.ravel() for c in coords] + [u.values.ravel()],
+        )
 
 
 def cmd_solve(args) -> int:
@@ -334,14 +357,9 @@ def cmd_greens(args) -> int:
         f = _read_function_file(args.apply, grid)
         y = op_mod.tridiag_solve(op, f)
         if outdir is not None:
-            _write_csv(
-                outdir / "inverse.csv",
-                ["t", "y"],
-                zip(map(float, grid.points), map(float, y.values)),
-            )
+            _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
         else:
-            for t, v in zip(grid.points, y.values):
-                print(f"{_fmt(float(t))},{_fmt(float(v))}")
+            sys.stdout.writelines(_csv_rows([grid.points, y.values], "\n"))
     return EXIT_OK
 
 
@@ -393,7 +411,7 @@ def cmd_reproduce(args) -> int:
             payload = [dict(zip(REPORT_FIELDS, rec)) for rec in records]
             (outdir / "report.json").write_text(_json(payload, indent=2))
         else:
-            _write_csv(outdir / "report.csv", REPORT_FIELDS, records)
+            _write_csv(outdir / "report.csv", REPORT_FIELDS, zip(*records))
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 

@@ -5,19 +5,39 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tselliptic import cli
+from tselliptic import operator as op_mod
 from tselliptic import solver as sv
-from tselliptic.timescale import MAX_AXIS_POINTS, MeshParams, TimeScale, discretize
+from tselliptic import spectral as sp
+from tselliptic.timescale import (
+    MAX_AXIS_POINTS,
+    GridFunction,
+    MeshParams,
+    TimeScale,
+    discretize,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **kwargs):
     path = tmp_path / name
     path.write_text(json.dumps(kwargs))
     return str(path)
+
+
+# the Quick start example of the README
+README_CONFIG = {
+    "axes": ["[0,1],2,3"],
+    "mesh": {"h": 0.001},
+    "f": "C",
+    "params": {"C": 1.0},
+    "hypotheses": {"L": 0.0},
+    "solver": {"method": "picard"},
+}
 
 
 class TestConfig:
@@ -130,6 +150,41 @@ class TestSpectrum:
         assert cli.main(["spectrum", "--config", cfg, "--k", "1", "--h", "0.001"]) == 0
         lam = float(capsys.readouterr().out.splitlines()[0])
         assert abs(lam - math.pi**2 / 9) <= 1e-4
+
+    def test_lambda1_is_the_one_solve_reports(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **README_CONFIG)
+        out = tmp_path / "out"
+        argv = ["spectrum", "--config", cfg, "--k", "3", "--format", "json"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert cli.main(["solve", "--config", cfg]) == 0
+        lam1 = json.loads(capsys.readouterr().out)["lambda1"]
+        assert printed[1] == f"lambda1 = {lam1:.12g}"
+        assert json.loads((out / "spectrum.json").read_text())["lambda1"] == lam1
+
+    @pytest.mark.parametrize("axes", [["[0,1],2,3"], ["[0,1],2,3", "0,0.5,1,2"]])
+    def test_k_eigenpairs_per_axis(self, tmp_path, capsys, monkeypatch, axes):
+        calls = []
+        solve = sp.spectrum_1d
+
+        def recorded(grid, k=None):
+            calls.append(k)
+            return solve(grid, k)
+
+        monkeypatch.setattr(sp, "spectrum_1d", recorded)
+        cfg = write_config(tmp_path, axes=axes, mesh={"h": 0.01})
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--k", "3", "--out", str(out)]) == 0
+        assert calls and None not in calls
+
+        grids = [discretize(TimeScale.parse(a), MeshParams(h=0.01)) for a in axes]
+        full = sp.tensor_spectrum([solve(g) for g in grids], 3).eigenvalues
+        listed = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1, usecols=1)
+        norm = sum(
+            np.max(np.abs(A.diag) + np.abs(A.sub) + np.abs(A.sup))
+            for A in map(op_mod.assemble, grids)
+        )
+        assert np.abs(listed - full).max() <= 64 * np.finfo(float).eps * norm
 
 
 class TestSolve:
@@ -404,6 +459,59 @@ class TestCsvFormat:
         assert float(lam) == pytest.approx(0.9319059782860835, rel=1e-12)
         digits = lam.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 15
+
+    @pytest.mark.parametrize("axes, h", [(["[0,1],2,3"], 2e-4), (["[0,1]", "[0,1],2"], 0.01)])
+    def test_solution_matches_csv_writer(self, tmp_path, axes, h):
+        grids = tuple(discretize(TimeScale.parse(a), MeshParams(h=h)) for a in axes)
+        shape = tuple(len(g.points) for g in grids)
+        assert math.prod(shape) > cli.CSV_CHUNK_ROWS
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        values.flat[: len(SPECIAL)] = SPECIAL
+        values.flat[-len(SPECIAL) :] = SPECIAL
+        cli._write_solution(tmp_path, "solution", GridFunction(grids, values), "csv")
+        rows = (
+            tuple(float(g.points[i]) for g, i in zip(grids, idx)) + (float(values[idx]),)
+            for idx in np.ndindex(*shape)
+        )
+        header = [f"x{i + 1}" for i in range(len(grids))] + ["u"]
+        expected = reference_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "solution.csv").read_bytes() == expected
+
+    def test_eigenvalues_match_csv_writer(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, axes=["[0,1],2,3", "0,1,2,3"], mesh={"h": 0.05})
+        for fmt in cli.FORMATS:
+            argv = ["spectrum", "--config", cfg, "--k", "5", "--format", fmt]
+            assert cli.main(argv + ["--out", str(tmp_path / fmt)]) == 0
+        listed = json.loads((tmp_path / "json" / "spectrum.json").read_text())
+        rows = [("-".join(map(str, e["index"])), e["lambda"]) for e in listed["eigenvalues"]]
+        expected = reference_csv(tmp_path / "ref.csv", ["index", "eigenvalue"], rows)
+        assert (tmp_path / "csv" / "eigenvalues.csv").read_bytes() == expected
+
+    def test_text_cells_match_csv_writer(self, tmp_path):
+        n = cli.CSV_CHUNK_ROWS + 3
+        items = [f"row {i}" for i in range(n)]
+        items[:5] = ["a,b", 'say "x"', "two\nlines", "cr\r", ""]
+        numbers = np.linspace(-1.0, 1.0, n)
+        numbers[-len(SPECIAL) :] = SPECIAL
+        flags = [i % 3 == 0 for i in range(n)]
+        cli._write_csv(tmp_path / "t.csv", ["item", "x", "ok"], [items, numbers, flags])
+        rows = zip(items, map(float, numbers), flags)
+        expected = reference_csv(tmp_path / "ref.csv", ["item", "x", "ok"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected
+
+
+SPECIAL = [-0.0, 1e-300, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308]
+
+
+def reference_csv(path, header, rows) -> bytes:
+    """The table as csv.writer writes it, each float through format(v, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
 
 
 # A small valid config; each case below replaces one part of it.
