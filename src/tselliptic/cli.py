@@ -27,7 +27,7 @@ from . import nonlinearity as nl
 from . import operator as op_mod
 from . import solver as sv
 from . import spectral as sp
-from .timescale import GridFunction, MeshParams, TimeScale
+from .timescale import MAX_AXIS_POINTS, GridFunction, MeshParams, TimeScale
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -220,6 +220,9 @@ def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
 def cmd_spectrum(args) -> int:
     if args.k is not None and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
+    # the listed sums are held in memory: as many as one axis may have points
+    if args.k is not None and args.k > MAX_AXIS_POINTS:
+        raise ConfigError(f"--k must be at most {MAX_AXIS_POINTS}, got {args.k}")
     cfg = load_config(args.config)
     problem, _ = build_problem(cfg, h_override=args.h)
     outdir, fmt = _resolve_output(args, cfg)

@@ -48,6 +48,7 @@ from .timescale import (
     GridFunction,
     MeshParams,
     TimeScale,
+    axis_apply,
     discretize,
     product_delta_norm,
 )
@@ -207,9 +208,9 @@ def spectral_inverse(
     ||Ainv f|| <= ||f|| / lambda_1.
     """
     weights = [s.grid.weights[1:-1] for s in spectra]
-    coeff = sp._axis_apply(f.interior, [s.phis[:, 1:-1] for s in spectra], weights)
+    coeff = axis_apply(f.interior, [s.phis[:, 1:-1] for s in spectra], weights)
     coeff /= functools.reduce(np.add.outer, [s.eigenvalues for s in spectra])
-    return f.with_interior(sp._axis_apply(coeff, [s._synthesis for s in spectra]))
+    return f.with_interior(axis_apply(coeff, [s.phis[:, 1:-1].T for s in spectra]))
 
 
 def _inverse(problem: Problem, f: GridFunction) -> GridFunction:

@@ -14,7 +14,7 @@ Agreement of the two certifies the mesh; disagreement measures it.
 Product-domain eigenvalues are sums of per-axis ones and are enumerated
 best-first over the multi-index lattice.  A :class:`Spectrum1D` is also the
 one-axis :class:`TensorSpectrum`, and every transform into or out of an
-eigenbasis applies one matrix along each axis (:func:`_axis_apply`).
+eigenbasis applies one matrix along each axis (``timescale.axis_apply``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .timescale import (
     GridMismatchError,
     Interval,
     TimeScale,
+    axis_apply,
 )
 
 SMALL_LAMBDA = 1e-8
@@ -92,14 +93,6 @@ class Spectrum1D:
         """1-based indices with eigenvalues, as in :class:`TensorSpectrum`."""
         return tuple(((i + 1,), lam) for i, lam in enumerate(self.eigenvalues))
 
-    @functools.cached_property
-    def _synthesis(self) -> np.ndarray:
-        """Interior eigenfunctions as C-contiguous columns, copied on first use.
-        Each synthesized value is then one dot product over the modes; summing
-        mode by mode through a strided view rounds differently, and a solve
-        that sits at its residual floor can change outcome."""
-        return np.ascontiguousarray(self.phis[:, 1:-1].T)
-
     def phi(self, k: int) -> GridFunction:
         """k-th eigenfunction (0-based) as a grid function."""
         return GridFunction(self.grid, self.phis[k])
@@ -118,7 +111,8 @@ def spectrum_1d(grid: Grid, k: int | None = None) -> Spectrum1D:
     np.divide(V.T, np.sqrt(A.weight), out=inner)
     # Euclidean-orthonormal V makes these orthonormal in the grid weights
     # already; renormalize to remove solver rounding and fix the sign.
-    phis /= np.sqrt([np.dot(row**2, grid.weights) for row in phis])[:, None]
+    del V  # so phis**2 below is the second n-by-n array, not the third
+    phis /= np.sqrt(phis**2 @ grid.weights)[:, None]
     scale = np.maximum(inner.max(axis=1), -inner.min(axis=1))[:, None] * 1e-12
     first = np.argmax((inner > scale) | (inner < -scale), axis=1)
     phis *= np.where(inner[np.arange(len(w)), first] < 0, -1.0, 1.0)[:, None]
@@ -230,7 +224,8 @@ class TensorSpectrum:
     ``entries`` is ascending in eigenvalue (ties resolved by lexicographic
     multi-index, multiplicity preserved); multi-indices are 1-based per
     axis.  ``exhausted`` flags that the entries are the entire finite
-    spectrum (the request met or exceeded the total count).
+    spectrum (every axis spectrum is complete and the request met or
+    exceeded the total count).
     """
 
     axes: tuple[Spectrum1D, ...]
@@ -244,9 +239,9 @@ class TensorSpectrum:
     def eigenfunction(self, entry: int) -> GridFunction:
         """Product eigenfunction of the given entry (0-based)."""
         idx, _ = self.entries[entry]
-        vals = self.axes[0].phis[idx[0] - 1]
-        for ax, p in zip(self.axes[1:], idx[1:]):
-            vals = np.multiply.outer(vals, ax.phis[p - 1])
+        vals = functools.reduce(
+            np.multiply.outer, [ax.phis[p - 1] for ax, p in zip(self.axes, idx)]
+        )
         return GridFunction(tuple(ax.grid for ax in self.axes), vals)
 
 
@@ -254,11 +249,15 @@ def tensor_spectrum(axes: Sequence[Spectrum1D], K: int) -> TensorSpectrum:
     """Best-first enumeration of the K smallest eigenvalue sums."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if any(ax.count < 1 for ax in axes):
-        raise ValueError("every axis spectrum must be nonempty")
+    # the K smallest sums use at most the K smallest pairs of each axis
+    for ax in axes:
+        if ax.count < (need := min(K, ax.grid.n_interior)):
+            raise ValueError(f"an axis spectrum holds {ax.count} eigenpairs; "
+                             f"the {K} smallest sums need {need}")
     axes = tuple(axes)
     counts = [ax.count for ax in axes]
     total = math.prod(counts)
+    complete = all(ax.count == ax.grid.n_interior for ax in axes)
     start = (1,) * len(axes)
     heap = [(sum(ax.eigenvalues[0] for ax in axes), start)]
     seen = {start}
@@ -273,25 +272,11 @@ def tensor_spectrum(axes: Sequence[Spectrum1D], K: int) -> TensorSpectrum:
                     seen.add(nxt)
                     ev = axes[d].eigenvalues
                     heapq.heappush(heap, (lam - ev[idx[d] - 1] + ev[idx[d]], nxt))
-    return TensorSpectrum(axes=axes, entries=tuple(entries), exhausted=K >= total)
+    return TensorSpectrum(axes=axes, entries=tuple(entries), exhausted=complete and K >= total)
 
 
 # ---------------------------------------------------------------------------
 # Expansion in the eigenbasis
-
-
-def _axis_apply(x: np.ndarray, mats, weights=None) -> np.ndarray:
-    """Apply ``mats[d]`` along axis d of x, scaling that axis by ``weights[d]``
-    first when given; each step is one matrix product on x as (before, n_d, after)."""
-    for d, m in enumerate(mats):
-        shape = x.shape
-        x = x.reshape(math.prod(shape[:d]), shape[d], -1)
-        if weights is not None:
-            x = x * weights[d][:, None]
-        # matmul would loop over the rows of a last axis; one product instead
-        y = x[..., 0] @ m.T if x.shape[2] == 1 else m @ x
-        x = y.reshape(shape[:d] + (m.shape[0],) + shape[d + 1 :])
-    return x
 
 
 def expand(spec: Spectrum1D | TensorSpectrum, f) -> np.ndarray:
@@ -299,7 +284,7 @@ def expand(spec: Spectrum1D | TensorSpectrum, f) -> np.ndarray:
     if tuple(f.grids) != tuple(ax.grid for ax in spec.axes):
         raise GridMismatchError("function grids do not match spectrum axes")
     mats = [ax.phis for ax in spec.axes]
-    coeff = _axis_apply(f.values, mats, [ax.grid.weights for ax in spec.axes])
+    coeff = axis_apply(f.values, mats, [ax.grid.weights for ax in spec.axes])
     return coeff[tuple(np.array([idx for idx, _ in spec.entries]).T - 1)]
 
 
@@ -310,7 +295,7 @@ def reconstruct(spec: Spectrum1D | TensorSpectrum, c: np.ndarray) -> GridFunctio
         raise ValueError("coefficient count does not match spectrum entries")
     coeff = np.zeros(tuple(ax.count for ax in spec.axes))
     coeff[tuple(np.array([idx for idx, _ in spec.entries]).T - 1)] = c
-    vals = _axis_apply(coeff, [ax.phis.T for ax in spec.axes])
+    vals = axis_apply(coeff, [ax.phis.T for ax in spec.axes])
     return GridFunction(tuple(ax.grid for ax in spec.axes), vals)
 
 

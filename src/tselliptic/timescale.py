@@ -468,16 +468,9 @@ class GridFunction:
 
     def boundary_max(self) -> float:
         """Largest absolute value on the boundary of the closed product."""
-        mask = np.zeros(self.values.shape, dtype=bool)
-        for ax in range(self.ndim):
-            sl0 = [slice(None)] * self.ndim
-            sl0[ax] = 0
-            mask[tuple(sl0)] = True
-            sl0[ax] = -1
-            mask[tuple(sl0)] = True
-        if not mask.any():
-            return 0.0
-        return float(np.abs(self.values[mask]).max())
+        vals = np.abs(self.values)
+        vals[tuple(slice(1, -1) for _ in self.grids)] = 0.0
+        return float(vals.max())
 
 
 ProductGridFunction = GridFunction
@@ -509,6 +502,21 @@ def nabla_derivative(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, out)
 
 
+def axis_apply(x: np.ndarray, mats, weights=None) -> np.ndarray:
+    """Apply ``mats[d]`` along axis d of x, scaling that axis by ``weights[d]``
+    first when given: one matrix product per axis on x as (before, n_d, after).
+    Weighted sums over a product grid and eigenbasis transforms all use it."""
+    for d, m in enumerate(mats):
+        shape = x.shape
+        x = x.reshape(math.prod(shape[:d]), shape[d], -1)
+        if weights is not None:
+            x = x * weights[d][:, None]
+        # matmul would loop over the rows of a last axis; one product instead
+        y = x[..., 0] @ m.T if x.shape[2] == 1 else m @ x
+        x = y.reshape(shape[:d] + (m.shape[0],) + shape[d + 1 :])
+    return x
+
+
 def product_delta_inner(u: GridFunction, v: GridFunction) -> float:
     """Inner product sum of u v w over the closed grid, where w is the tensor
     product of the per-axis grid weights (:attr:`Grid.weights`).
@@ -519,12 +527,8 @@ def product_delta_inner(u: GridFunction, v: GridFunction) -> float:
     """
     if u.grids != v.grids:
         raise GridMismatchError("grid functions live on different grids")
-    w = u.values * v.values
-    for ax, g in enumerate(u.grids):
-        shape = [1] * u.ndim
-        shape[ax] = -1
-        w = w * g.weights.reshape(shape)
-    return float(w.sum())
+    rows = [g.weights[None, :] for g in u.grids]  # contracted axis by axis
+    return float(axis_apply(u.values * v.values, rows).sum())
 
 
 def product_delta_norm(u: GridFunction) -> float:

@@ -128,15 +128,21 @@ class TestSpectrum:
             (["0,1,2,3", "0,1,2,3"], "0"),
             (["0,1,2,3,4,5,6,7,8,9"], "-2"),
             (["0,1,2,3"], "0"),
+            # above the bound, refused before any eigensolve
+            (["[0,1]", "[0,1]"], str(MAX_AXIS_POINTS + 1)),
         ],
     )
-    def test_k_below_one_exit_3(self, tmp_path, capsys, axes, k):
+    def test_k_below_one_exit_3(self, tmp_path, capsys, monkeypatch, axes, k):
+        monkeypatch.setattr(sp, "spectrum_1d", None)
         cfg = write_config(tmp_path, axes=axes)
         assert cli.main(["spectrum", "--config", cfg, "--k", k]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "--k must be at least 1" in captured.err
+        if int(k) < 1:
+            assert "--k must be at least 1" in captured.err
+        else:
+            assert f"--k must be at most {MAX_AXIS_POINTS}, got {k}" in captured.err
 
     def test_1d_default_lists_eight(self, tmp_path, capsys):
         cfg = write_config(tmp_path, axes=[",".join(map(str, range(12)))])

@@ -294,6 +294,16 @@ class TestPicard:
         assert sol.contraction_ratio <= 0.3 / 2.0 + 0.05
         assert sol.u.boundary_max() == 0.0
 
+    def test_2d_solve_keeps_one_eigenbasis_per_axis(self):
+        # the inverse synthesizes through phis; no axis caches a second copy
+        p = make_problem(
+            ["[0,1],2,3", "0,1,2,3"], "0.3*sin(u) + 1", mesh=MeshParams(h=0.05),
+            hyp=GrowthHypotheses(L=0.3),
+        )
+        assert picard_solve(p).status is Status.CONVERGED
+        for s in p.spectra:
+            assert set(vars(s)) == {"grid", "eigenvalues", "phis"}
+
     @pytest.mark.parametrize(
         "axes, h, a, b, c",
         [

@@ -317,6 +317,25 @@ class TestTensorSpectrum:
         assert len(t.entries) == 4
         assert t.exhausted
 
+    def test_truncated_axes_not_exhausted(self):
+        g = discretize(TimeScale.parse("[0,1]"), MeshParams(h=1e-3))
+        s = spectrum_1d(g, 3)
+        t = tensor_spectrum([s], 3)
+        assert not t.exhausted
+        assert np.array_equal(t.eigenvalues, s.eigenvalues)
+        assert not tensor_spectrum([s, s], 3).exhausted
+
+    def test_too_few_axis_pairs_rejected(self):
+        # the 4 smallest sums of one axis need its 4 smallest pairs
+        g = discretize(TimeScale.parse("[0,1]"), MeshParams(h=1e-3))
+        with pytest.raises(ValueError, match="holds 3 eigenpairs.*need 4"):
+            tensor_spectrum([spectrum_1d(g, 3)], 4)
+        with pytest.raises(ValueError, match="holds 2 eigenpairs.*need 3"):
+            tensor_spectrum([spectrum_1d(g, 3), spectrum_1d(g, 2)], 3)
+        # a grid with fewer interior points than K needs all of them only
+        s = spectrum_1d(discretize(DISCRETE))
+        assert len(tensor_spectrum([s, spectrum_1d(g, 8)], 8).entries) == 8
+
     def test_product_eigenfunctions_orthonormal(self):
         s = spectrum_1d(discretize(DISCRETE))
         t = tensor_spectrum([s, s], 4)

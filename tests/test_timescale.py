@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -255,6 +256,38 @@ class TestValidation:
             u.values[1] = 5.0
         with pytest.raises(ValueError):
             g.points[0] = -1.0
+
+
+class TestProductInner:
+    def test_matches_explicit_tensor_weights(self, rng):
+        # random product grids of 1 to 4 axes; "0,1,3" has one interior point
+        one_point = discretize(TimeScale.parse("0,1,3"))
+        for ndim in range(1, 5):
+            for _ in range(5):
+                grids = [random_grid(rng) for _ in range(ndim)]
+                grids[rng.integers(ndim)] = one_point
+                shape = tuple(len(g.points) for g in grids)
+                u = GridFunction(grids, rng.standard_normal(shape))
+                v = GridFunction(grids, rng.standard_normal(shape))
+                w = functools.reduce(np.multiply.outer, [g.weights for g in grids])
+                terms = u.values * v.values * w
+                got = product_delta_inner(u, v)
+                assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+                assert product_delta_inner(u, u) == pytest.approx(
+                    (u.values**2 * w).sum(), rel=1e-13
+                )
+
+    def test_boundary_max_ignores_interior(self, rng):
+        for axes in (["0,1,3"], ["[0,1]", "0,1,3"], ["0,1,2,3"] * 3):
+            grids = [discretize(TimeScale.parse(a), MeshParams(h=0.25)) for a in axes]
+            vals = rng.uniform(-1.0, 1.0, tuple(len(g.points) for g in grids))
+            interior = tuple(slice(1, -1) for _ in grids)
+            vals[interior] = 100.0
+            corner = (-1,) * len(grids)
+            vals[corner] = -3.0
+            u = GridFunction(grids, vals)
+            assert u.boundary_max() == 3.0
+            assert u.with_interior(u.interior).boundary_max() == 0.0
 
 
 class TestOneAxisProduct:
