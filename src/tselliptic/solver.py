@@ -25,8 +25,9 @@ Three regimes:
   enforced along the path; certifies existence by residual only.
 * ``enumerate_small`` -- multi-start Newton enumeration of tiny algebraic
   systems (<= 3 unknowns), the honest fallback when neither hypothesis
-  holds.  The starts are the columns of one array and each Newton step
-  solves every start's d x d system at once by Cramer's rule.
+  holds.  The starts are the columns of one array; they run in blocks of
+  NEWTON_BLOCK columns, and each Newton step solves a block's d x d systems
+  at once by Cramer's rule.  Starts where f is undefined or not finite die.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ from .timescale import (
 # continuation step takes at most 12 iterations.
 PLAIN_STEPS = 50
 ANDERSON_DEPTH = 5
+
+# Newton starts that enumerate_small runs together.  A block runs through
+# all its steps before the next starts, so its arrays stay in cache.  On the
+# enumerate-2u benchmark (2-core Xeon, 2 MiB L2 per core), blocks of 16,384
+# and 32,768 tied as fastest among 4,096 to 65,536.  At 16,384 the arrays
+# of one step (256 KiB each at d = 2) about fill L2, and op times varied
+# twice as much as at 32,768, where they outgrow L2 whatever else runs.
+NEWTON_BLOCK = 32_768
 
 # The note of each corrector stop short of convergence; "cap" names the
 # limit it reached, and the homotopy adds the tau it stopped at.
@@ -464,10 +473,12 @@ def _det(M):
     expanded along the first row (cheap for the d <= 3 systems here)."""
     if len(M) == 1:
         return M[0][0]
-    return sum(
-        (-1) ** j * m * _det([row[:j] + row[j + 1 :] for row in M[1:]])
-        for j, m in enumerate(M[0])
-    )
+    det = None
+    for j, m in enumerate(M[0]):
+        # one product per cofactor term, added or subtracted by its sign
+        term = m * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        det = term if det is None else det - term if j % 2 else det + term
+    return det
 
 
 def _cramer(J, r) -> np.ndarray:
@@ -482,15 +493,43 @@ def _cramer(J, r) -> np.ndarray:
         return np.array(cols) / _det(J)
 
 
+def _newton(A: np.ndarray, f_vals, u: np.ndarray, alive: np.ndarray):
+    """At most 80 Newton steps for Au + F(u) = 0 from each column of the
+    block ``u``, which it advances in place.  A start dies, leaving
+    ``alive``, where F(u) is not finite or u leaves [-1e8, 1e8]^d; a start
+    whose residual meets the tolerance, or whose Jacobian is singular, stays
+    where it is.  Returns the last residuals and the max-norm of each u."""
+    for steps in range(81):  # Newton steps taken so far, at most 80
+        R = A @ u + f_vals(u)
+        alive &= np.isfinite(R).all(axis=0)
+        abs_u = np.abs(u)
+        scale = abs_u.max(axis=0)
+        active = alive & ~(np.abs(R).max(axis=0) <= 1e-11 * (1.0 + scale))
+        if steps == 80 or not active.any():
+            return R, scale
+        h = 1e-6 * np.maximum(1.0, abs_u)
+        fp = (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
+        # the Jacobian A + diag(f'(u)): arrays on the diagonal, scalars off it
+        J = [[a + fp[i] if i == j else a for j, a in enumerate(row)]
+             for i, row in enumerate(A)]
+        step = _cramer(J, R)
+        np.subtract(u, step, out=u, where=active & np.isfinite(step).all(axis=0))
+        # leaving [-1e8, 1e8]^d kills a start, so live starts are finite
+        alive &= (np.abs(u) <= 1e8).all(axis=0)
+        np.copyto(u, np.nan, where=~alive)
+
+
 def enumerate_small(
     problem: Problem, box: float, grid_density: int
 ) -> EnumerationResult:
     """Multi-start Newton over a dense lattice in [-box, box]^d.
 
-    The starts are the columns of one (d, S) array, and every Newton step
-    solves all of them at once by Cramer's rule.  Polishes every start,
-    keeps distinct converged roots inside the box, and reports
-    ``no_real_solution_suspected`` when nothing converges.
+    The starts are the columns of one (d, S) array.  They run in blocks of
+    NEWTON_BLOCK columns, each block through all its Newton steps while it
+    stays in cache, and every step solves a block's d x d systems at once
+    by Cramer's rule.  Starts where f is undefined or not finite die.
+    Polishes every start, keeps distinct converged roots inside the box,
+    and reports ``no_real_solution_suspected`` when nothing converges.
     """
     if box <= 0 or grid_density < 2:
         raise ValueError("need box > 0 and grid_density >= 2")
@@ -498,6 +537,11 @@ def enumerate_small(
     d = math.prod(shape)
     if d > 3:
         raise ValueError(f"enumeration supports at most 3 unknowns, got {d}")
+    if (starts := grid_density**d) > MAX_AXIS_POINTS**2:
+        raise ValueError(
+            f"density {grid_density} gives {starts} Newton starts; "
+            f"enumeration takes at most {MAX_AXIS_POINTS**2}"
+        )
     A = _dense_operator(problem)
     # coordinates of the unknowns (C order of the interior tensor) as columns
     interiors = [g.interior for g in problem.grids]
@@ -508,7 +552,7 @@ def enumerate_small(
             out = nl.evaluate_arrays(problem.f, xs, u)
             return np.broadcast_to(out, u.shape).astype(float, copy=False)
         except nl.EvaluationError as err:
-            # mark starts where f is undefined as dead instead of aborting
+            # NaN where f is undefined, so that _newton kills those starts
             res = np.full(u.shape, np.nan)
             mask = True if err.mask is None else err.mask
             bad = np.broadcast_to(mask, u.shape).any(axis=0)
@@ -518,26 +562,18 @@ def enumerate_small(
 
     lattice = np.meshgrid(*[np.linspace(-box, box, grid_density)] * d, indexing="ij")
     u = np.array([m.ravel() for m in lattice])  # (d, S): one start per column
-    alive = np.ones(u.shape[1], dtype=bool)
+    del lattice
+    alive = np.ones(starts, dtype=bool)
+    inside = np.empty_like(alive)  # converged to a root inside the box
     with np.errstate(invalid="ignore", over="ignore"):
-        for steps in range(81):  # Newton steps taken so far, at most 80
-            R = A @ u + f_vals(u)
-            scale = np.abs(u).max(axis=0)
-            active = alive & ~(np.abs(R).max(axis=0) <= 1e-11 * (1.0 + scale))
-            if steps == 80 or not active.any():
-                break
-            h = 1e-6 * np.maximum(1.0, np.abs(u))
-            fp = (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
-            # the Jacobian A + diag(f'(u)): arrays on the diagonal, scalars off it
-            J = [[a + fp[i] if i == j else a for j, a in enumerate(row)]
-                 for i, row in enumerate(A)]
-            step = _cramer(J, R)
-            np.subtract(u, step, out=u, where=active & np.isfinite(step).all(axis=0))
-            # leaving [-1e8, 1e8]^d kills a start, so live starts are finite
-            alive &= (np.abs(u) <= 1e8).all(axis=0)
-            np.copyto(u, np.nan, where=~alive)
-        converged = alive & (np.abs(R).max(axis=0) <= 1e-10 * (1.0 + scale))
-        inside = converged & (scale <= box * (1.0 + 1e-9))
+        for lo in range(0, starts, NEWTON_BLOCK):
+            block = slice(lo, lo + NEWTON_BLOCK)
+            R, scale = _newton(A, f_vals, u[:, block], alive[block])
+            inside[block] = (
+                alive[block]
+                & (np.abs(R).max(axis=0) <= 1e-10 * (1.0 + scale))
+                & (scale <= box * (1.0 + 1e-9))
+            )
     roots = _dedupe(u.T[inside], 1e-6, exact=True)
     candidates = _dedupe(u.T[alive], 1e-6, exact=False)
     zero = GridFunction.zeros(problem.grids)
@@ -557,8 +593,13 @@ def _dedupe(points: np.ndarray, tol: float, exact: bool) -> np.ndarray:
     if len(points) == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
     key = np.round(points / tol).astype(np.int64)
-    _, first = np.unique(key, axis=0, return_index=True)
-    reps = points[np.sort(first)]
+    # one stable sort of the cells; its first point in each cell is the
+    # cell's first point in ``points``
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new_cell = np.ones(len(key), dtype=bool)
+    new_cell[1:] = (key[1:] != key[:-1]).any(axis=1)
+    reps = points[np.sort(order[new_cell])]
     if not exact or len(reps) > 512:
         return reps
     order = np.lexsort(reps.T[::-1])

@@ -242,6 +242,23 @@ class TestSolve:
         assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "solution_01.csv").exists()
 
+    def test_enumerate_start_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # 10^14 starts would need 728 TiB; both meshgrids are patched out,
+        # so the refusal is shown to come before any lattice is built
+        monkeypatch.setattr(np, "meshgrid", None)
+        cfg = write_config(
+            tmp_path,
+            axes=["0,1,2,3"],
+            f="c + u^2",
+            params={"c": 1},
+            solver={"method": "enumerate", "density": 10_000_000},
+        )
+        assert cli.main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"enumeration takes at most {MAX_AXIS_POINTS**2}" in captured.err
+
     def test_method_override(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

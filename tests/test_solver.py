@@ -12,6 +12,7 @@ from tselliptic.solver import (
     SolverConfig,
     Status,
     _cramer,
+    _dedupe,
     _dense_operator,
     apply_operator,
     apriori_radius,
@@ -23,6 +24,7 @@ from tselliptic.solver import (
 )
 from tselliptic.spectral import tensor_spectrum
 from tselliptic.timescale import (
+    MAX_AXIS_POINTS,
     MeshParams,
     ProductGridFunction,
     TimeScale,
@@ -702,12 +704,13 @@ class TestEnumerateSmall:
 
     def test_partial_domain_nonlinearity(self):
         # sqrt(u + 20) is undefined on part of the start lattice; those
-        # starts die instead of aborting the sweep
+        # starts die instead of aborting the sweep or staying candidates
         p = make_problem(["0,1,2,3"], "sqrt(u + 20)")
         res = enumerate_small(p, box=30.0, grid_density=31)
         assert len(res.solutions) >= 1
         for s in res.solutions:
             assert s.residual <= 1e-10
+        assert res.candidates.min() >= -20.0
 
     def test_single_unknown(self):
         # (5/18) u + u^2 = 0 has roots 0 and -5/18
@@ -715,3 +718,75 @@ class TestEnumerateSmall:
         res = enumerate_small(p, box=2.0, grid_density=21)
         got = sorted(s.u.interior.ravel()[0] for s in res.solutions)
         assert np.allclose(got, [-5.0 / 18.0, 0.0], atol=1e-9)
+
+    def test_non_finite_starts_die(self):
+        # exp(u) overflows at the far starts; they die rather than stay put
+        p = make_problem(["0,1,2,3"], "abs(u) - 2 + exp(u)")
+        res = enumerate_small(p, box=1000.0, grid_density=41)
+        assert res.status is Status.CONVERGED
+        assert np.isfinite(np.exp(res.candidates)).all()
+
+    def test_start_budget(self):
+        p = make_problem(["0,1,2,3"], "u")
+        # 10^14 starts: refused before numpy is asked for 1.6 PB
+        with pytest.raises(ValueError, match=f"at most {MAX_AXIS_POINTS**2}$"):
+            enumerate_small(p, box=1.0, grid_density=10_000_000)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        # A + diag(f'(u)) at u = (0, 0) is [[0.5, -1], [-1, 2]], singular with
+        # exact difference quotients, and that start stays; starts with a
+        # component below -3 die where sqrt(u + 3) is undefined
+        f = "(2-x)*(-1.5*u + c) + (x-1)*(u^2 - 1) + 0*sqrt(u + 3)"
+        p = make_problem(["0,1,2,3"], f, bindings={"c": 2.0**-20})
+        monkeypatch.setattr(solver, "NEWTON_BLOCK", 10**9)
+        whole = enumerate_small(p, box=5.0, grid_density=21)
+        assert len(whole.solutions) == 2
+        assert [0.0, 0.0] in whole.candidates.tolist()
+        assert whole.candidates.min() == -3.0
+        # 441 starts: 44 blocks of 10 and one of a single start
+        monkeypatch.setattr(solver, "NEWTON_BLOCK", 10)
+        blocked = enumerate_small(p, box=5.0, grid_density=21)
+        assert blocked.status is whole.status
+        got, want = ([s.u.interior.ravel() for s in r.solutions] for r in (blocked, whole))
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-12
+
+
+def first_in_cell(points, tol):
+    """The representatives by np.unique over the rounded rows."""
+    key = np.round(points / tol).astype(np.int64)
+    _, first = np.unique(key, axis=0, return_index=True)
+    return points[np.sort(first)]
+
+
+class TestDedupe:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty(self, d, exact):
+        assert _dedupe(np.empty((0, d)), 1e-6, exact).shape == (0, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_first_point_of_each_cell(self, rng, d):
+        tol = 1e-6
+        points = rng.uniform(-1.0, 1.0, (2000, d))
+        # plant exact copies and near copies after their originals
+        src = rng.integers(0, len(points), 800)
+        near = points[src[400:]] + rng.uniform(-0.1, 0.1, (400, d)) * tol
+        points = np.concatenate([points, points[src[:400]], near])
+        rng.shuffle(points[1000:])
+        want = first_in_cell(points, tol)
+        assert len(want) < 2400
+        for exact in (False, True):  # over 512 cells exact skips its pass
+            assert np.array_equal(_dedupe(points, tol, exact), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_merges_across_cell_edges(self, rng, d):
+        tol = 1e-6
+        # clusters 1 apart, each spread over 0.8 tol around a cell edge
+        centers = (np.arange(20)[:, None] + (np.arange(d) + 0.5)[None, :] * tol)
+        spread = rng.uniform(-0.4, 0.4, (20, 5, d)) * tol
+        points = (centers[:, None, :] + spread).reshape(-1, d)
+        rng.shuffle(points)
+        assert len(_dedupe(points, tol, exact=False)) > 20
+        kept = _dedupe(points, tol, exact=True)
+        assert len(kept) == 20
+        assert np.abs(np.sort(kept, axis=0) - centers).max() <= 0.4 * tol
