@@ -358,7 +358,7 @@ def cmd_greens(args) -> int:
         grid = problem.grids[0]
         op = op_mod.assemble(grid)
         f = _read_function_file(args.apply, grid)
-        y = op_mod.tridiag_solve(op, f)
+        y = f.with_interior(op_mod.tridiag_solve(op, f.interior))
         if outdir is not None:
             _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
         else:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timescale import Grid, GridFunction, coordinates
+from .timescale import Grid, GridFunction
 
 FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 # Levels an expression may nest: each parenthesis, function call, unary minus
@@ -367,27 +367,27 @@ def evaluate(e: Expression, x: Sequence[float], u: float) -> float:
         raise EvaluationError(f"{err} at x = {tuple(x)}, u = {u}") from None
 
 
-def _grid_point(grids: Sequence[Grid], mask) -> tuple[float, ...]:
-    """First point of the closed product grid where ``mask``, broadcast over
-    the grid, holds."""
-    mask = np.broadcast_to(mask, tuple(len(g.points) for g in grids))
+def _grid_point(points: Sequence[np.ndarray], mask) -> tuple[float, ...]:
+    """First point of the product of the per-axis ``points`` where ``mask``,
+    broadcast over that product, holds."""
+    mask = np.broadcast_to(mask, tuple(len(p) for p in points))
     idx = np.argwhere(mask)[0]
-    return tuple(float(g.points[j]) for g, j in zip(grids, idx))
+    return tuple(float(p[j]) for p, j in zip(points, idx))
 
 
-def _on_grid(e: Expression, grids: Sequence[Grid], u, sample: str = ""):
-    """f over the closed product grid at u (an array on the grid, or one
-    value for every point), before broadcasting; an undefined value raises
-    EvaluationError naming its grid point, then ``sample``, with which a
-    caller that samples u names the sample (", u = -10")."""
-    xs, _ = coordinates(grids)
+def substitute(e: Expression, points: Sequence[np.ndarray], u, sample: str = ""):
+    """f(x, u(x)) over the product of the per-axis ``points`` (the solvers
+    pass the interior ones) for u an array over it or one value, as floats;
+    an undefined value raises EvaluationError naming its grid point, then
+    ``sample``, with which a caller that samples u names it (", u = -10")."""
     try:
-        return evaluate_arrays(e, xs, u)
+        vals = np.asarray(evaluate_arrays(e, np.ix_(*points), u), dtype=float)
     except EvaluationError as err:
         if err.mask is not None:
-            point = _grid_point(grids, err.mask)
+            point = _grid_point(points, err.mask)
             err = EvaluationError(f"{err} at grid point {point}{sample}")
         raise err from None
+    return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, np.shape(u)))
 
 
 def nemytskii(
@@ -397,8 +397,7 @@ def nemytskii(
     grids = tuple(grids)
     if u.grids != grids:
         raise ValueError("grid function does not live on the given grids")
-    vals = np.asarray(_on_grid(e, grids, u.values), dtype=float)
-    return GridFunction(grids, np.broadcast_to(vals, u.values.shape))
+    return GridFunction(grids, substitute(e, [g.points for g in grids], u.values))
 
 
 # --- growth hypotheses ----------------------------------------------------
@@ -438,12 +437,13 @@ def estimate_lipschitz(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     lo, hi = u_range
+    points = [g.points for g in grids]  # sampled on the closed grid
     best = 0.0
     for uv in np.linspace(lo, hi, samples):
         d = 1e-6 * max(1.0, abs(uv))
         sample = f", u = {uv:g}"
-        up = _on_grid(e, grids, np.float64(uv + d), sample)
-        dn = _on_grid(e, grids, np.float64(uv - d), sample)
+        up = substitute(e, points, np.float64(uv + d), sample)
+        dn = substitute(e, points, np.float64(uv - d), sample)
         slope = np.abs(np.asarray(up) - np.asarray(dn)) / (2.0 * d)
         best = max(best, float(np.max(slope)))
     return best
@@ -461,11 +461,12 @@ def check_one_sided(
     violation as (x, eta), or None when every sample holds."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    points = [g.points for g in grids]  # sampled on the closed grid
     for eta in np.linspace(u_range[0], u_range[1], samples):
-        f_eta = _on_grid(e, grids, np.float64(eta), f", eta = {eta:g}")
+        f_eta = substitute(e, points, np.float64(eta), f", eta = {eta:g}")
         lhs = np.asarray(f_eta) * eta
         rhs = alpha * eta**2 + cbound
         bad = lhs > rhs + 1e-9 * (1.0 + abs(rhs))
         if bad.any():
-            return _grid_point(grids, bad), float(eta)
+            return _grid_point(points, bad), float(eta)
     return None

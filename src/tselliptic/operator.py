@@ -136,18 +136,12 @@ def green_inverse(op: DirichletOperator1D, f: GridFunction) -> GridFunction:
     return GridFunction(op.grid, y)
 
 
-def tridiag_solve(op: DirichletOperator1D, f: GridFunction) -> GridFunction:
-    """Solve Au = f with Dirichlet zeros by banded elimination."""
-    if f.grid != op.grid:
-        raise GridMismatchError("grid function does not match operator grid")
-    n = op.n
-    ab = np.zeros((3, n))
+def tridiag_solve(op: DirichletOperator1D, f: np.ndarray) -> np.ndarray:
+    """Solve Au = f with Dirichlet zeros by banded elimination, on interior values."""
+    ab = np.zeros((3, op.n))
     ab[0, 1:] = op.sup[:-1]
     ab[1, :] = op.diag
     ab[2, :-1] = op.sub[1:]
     # callers test for NaN and infinity: the solvers their iterates, and
     # `greens --apply` its function file
-    x = solve_banded((1, 1), ab, f.values[1:-1], check_finite=False)
-    full = np.zeros_like(f.values)
-    full[1:-1] = x
-    return GridFunction(f.grid, full)
+    return solve_banded((1, 1), ab, f, check_finite=False)

@@ -2,11 +2,12 @@
 
 The problem -Laplacian(u) + f(x, u) = 0 with zero boundary values is the
 operator equation Au = -F(u), so the fixed-point map iterated here is
-u <- Ainv(-F(u)).  One Kronecker-sum function applies A (the dense matrix
-of a small system is A applied to the identity).  Both solvers apply Ainv
-through one function: in 1D A is tridiagonal and Ainv is one O(n) banded
-elimination; in higher dimensions Ainv goes into the product eigenbasis one
-axis at a time and back.  Both are exact in finite dimension.
+u <- Ainv(-F(u)), on interior arrays: only the result is a grid function.
+One Kronecker-sum function applies A (the dense matrix of a small system
+is A applied to the identity).  Both solvers apply Ainv through one
+function: in 1D A is tridiagonal and Ainv is one O(n) banded elimination;
+in higher dimensions Ainv goes into the product eigenbasis one axis at a
+time and back.  Both are exact in finite dimension.
 
 One corrector iterates u <- tau * Ainv(-F(u)) for both solvers (tau = 1 for
 Picard, each tau of the homotopy): plain steps, then Anderson mixing of the
@@ -49,9 +50,9 @@ from .timescale import (
     GridFunction,
     MeshParams,
     TimeScale,
+    array_norm,
     axis_apply,
     discretize,
-    product_delta_norm,
 )
 
 
@@ -170,9 +171,6 @@ class Problem:
     def volume(self) -> float:
         return math.prod(ts.b - ts.a for ts in self.axes)
 
-    def constant_function(self, c: float) -> GridFunction:
-        return GridFunction.zeros(self.grids).with_interior(c)
-
 
 @dataclass
 class Solution:
@@ -185,9 +183,10 @@ class Solution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _kronecker_sum(ops: Sequence[op_mod.DirichletOperator1D], v) -> np.ndarray:
-    """Kronecker-sum action on the leading ``len(ops)`` axes of an interior
-    array; trailing axes ride along, so a stack of vectors goes at once."""
+def apply_operator(ops: Sequence[op_mod.DirichletOperator1D], v) -> np.ndarray:
+    """Kronecker-sum action of the per-axis Dirichlet operators on the
+    leading ``len(ops)`` axes of an interior array; trailing axes ride
+    along, so a stack of vectors goes at once."""
     out = np.zeros_like(v)
     for ax, op in enumerate(ops):
         w = np.moveaxis(v, ax, 0)
@@ -200,34 +199,35 @@ def _kronecker_sum(ops: Sequence[op_mod.DirichletOperator1D], v) -> np.ndarray:
     return out
 
 
-def apply_operator(
-    ops: Sequence[op_mod.DirichletOperator1D], u: GridFunction
-) -> GridFunction:
-    """Kronecker-sum action of the per-axis Dirichlet operators."""
-    return u.with_interior(_kronecker_sum(ops, u.interior))
-
-
-def spectral_inverse(
-    spectra: Sequence[sp.Spectrum1D], f: GridFunction
-) -> GridFunction:
-    """Exact inverse of the Kronecker-sum operator via eigenexpansion.
+def spectral_inverse(spectra: Sequence[sp.Spectrum1D], f: np.ndarray) -> np.ndarray:
+    """Exact inverse of the Kronecker-sum operator on interior arrays.
 
     Transforms f into the tensor eigenbasis one axis at a time, divides by
     the eigenvalue sums, and transforms back; satisfies
     ||Ainv f|| <= ||f|| / lambda_1.
     """
     weights = [s.grid.weights[1:-1] for s in spectra]
-    coeff = axis_apply(f.interior, [s.phis[:, 1:-1] for s in spectra], weights)
+    coeff = axis_apply(f, [s.phis[:, 1:-1] for s in spectra], weights)
     coeff /= functools.reduce(np.add.outer, [s.eigenvalues for s in spectra])
-    return f.with_interior(axis_apply(coeff, [s.phis[:, 1:-1].T for s in spectra]))
+    return axis_apply(coeff, [s.phis[:, 1:-1].T for s in spectra])
 
 
-def _inverse(problem: Problem, f: GridFunction) -> GridFunction:
+def _inverse(problem: Problem, f: np.ndarray) -> np.ndarray:
     """The solvers' Ainv: one banded elimination in 1D, where A is
     tridiagonal, and the per-axis eigenbasis transform otherwise."""
     if problem.n == 1:
         return op_mod.tridiag_solve(problem.operators[0], f)
     return spectral_inverse(problem.spectra, f)
+
+
+def _F(problem: Problem, u: np.ndarray) -> np.ndarray:
+    """F(u) for an interior array u, the only points where f is read."""
+    return nl.substitute(problem.f, [g.interior for g in problem.grids], u)
+
+
+def _norm(problem: Problem, v: np.ndarray) -> float:
+    """The grid norm of an interior array: the boundary values are 0."""
+    return array_norm(v, [g.weights[1:-1] for g in problem.grids])
 
 
 def residual(problem: Problem, u: GridFunction) -> float:
@@ -238,13 +238,12 @@ def residual(problem: Problem, u: GridFunction) -> float:
     """
     if u.boundary_max() > 1e-12:
         raise ValueError("residual requires zero boundary values")
-    return _residual(problem, u, nl.nemytskii(problem.f, problem.grids, u))
+    return _residual(problem, u.interior, _F(problem, u.interior))
 
 
-def _residual(problem: Problem, u: GridFunction, Fu: GridFunction) -> float:
-    """:func:`residual` of a u with zero boundary values, given F(u)."""
-    Au = apply_operator(problem.operators, u)
-    return product_delta_norm(u.with_interior(Au.interior + Fu.interior))
+def _residual(problem: Problem, u: np.ndarray, Fu: np.ndarray) -> float:
+    """:func:`residual` of an interior array u, given F(u)."""
+    return _norm(problem, apply_operator(problem.operators, u) + Fu)
 
 
 def apriori_radius(
@@ -288,7 +287,7 @@ def picard_solve(problem: Problem) -> Solution:
     diag = {"L": L, "L_is_estimate": estimated, "contraction_bound": ratio_bound,
             "lambda1_lower_bound": problem.lambda1_lower_bound}
     if ratio_bound >= 1.0 and not cfg.force:
-        u = problem.constant_function(cfg.initial_guess)
+        u = GridFunction.zeros(problem.grids).with_interior(cfg.initial_guess)
         res = residual(problem, u)
         return Solution(u, res, Status.NON_CONTRACTION, 0, lam1, None, diag)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,15 +297,15 @@ def picard_solve(problem: Problem) -> Solution:
     if run.reason != "converged":
         limit = f"max_iter: {cfg.max_iter} iterations"
         diag["note"] = STOP_NOTES[run.reason].format(limit=limit)
-    return Solution(run.u, run.residual, status, run.steps, lam1, run.ratio, diag)
+    u = GridFunction.zeros(problem.grids).with_interior(run.u)
+    return Solution(u, run.residual, status, run.steps, lam1, run.ratio, diag)
 
 
 def _dense_operator(problem: Problem) -> np.ndarray:
     """Materialize the Kronecker-sum operator (small systems only)."""
     shape = tuple(g.n_interior for g in problem.grids)
     d = math.prod(shape)
-    probes = np.eye(d).reshape(shape + (d,))
-    return _kronecker_sum(problem.operators, probes).reshape(d, d)
+    return apply_operator(problem.operators, np.eye(d).reshape(shape + (d,))).reshape(d, d)
 
 
 def _anderson(xs: Sequence[np.ndarray], gs: Sequence[np.ndarray]) -> np.ndarray:
@@ -329,8 +328,8 @@ class _Run:
     """An iterate u and F(u), which the corrector advances in place so that
     no caller holds an earlier iterate, and how its last call ended."""
 
-    u: GridFunction
-    Fu: GridFunction
+    u: np.ndarray  # interior values, as are those of Fu
+    Fu: np.ndarray
     steps: int = 0
     ratio: float | None = None  # largest ratio of successive step norms
     residual: float | None = None  # of u, when the call had a residual_tol
@@ -338,8 +337,9 @@ class _Run:
 
     @staticmethod
     def start(problem: Problem) -> _Run:
-        u = problem.constant_function(problem.config.initial_guess)
-        return _Run(u, nl.nemytskii(problem.f, problem.grids, u))
+        shape = [g.n_interior for g in problem.grids]
+        u = np.full(shape, problem.config.initial_guess, dtype=float)
+        return _Run(u, _F(problem, u))
 
 
 def _fixed_point(problem: Problem, run: _Run, tau: float, cap: int,
@@ -354,10 +354,10 @@ def _fixed_point(problem: Problem, run: _Run, tau: float, cap: int,
     first_step = prev_step = run.ratio = run.residual = None
     run.steps, run.reason = 0, "cap"
     for it in range(1, cap + 1):
-        threshold = step_tol * (1.0 + product_delta_norm(run.u))
-        Tu = _inverse(problem, run.Fu.with_interior(-tau * run.Fu.interior))
+        threshold = step_tol * (1.0 + _norm(problem, run.u))
+        Tu = _inverse(problem, -tau * run.Fu)
         # a plain step keeps no copy of T(u) - u, which bounds peak memory
-        step = product_delta_norm(Tu.with_interior(Tu.interior - run.u.interior))
+        step = _norm(problem, Tu - run.u)
         if prev_step is not None:
             r = step / prev_step
             run.ratio = r if run.ratio is None else max(run.ratio, r)
@@ -366,13 +366,13 @@ def _fixed_point(problem: Problem, run: _Run, tau: float, cap: int,
         if finite and not small and (
             xs or it > PLAIN_STEPS or (prev_step is not None and step > prev_step * 1.01)
         ):
-            xs = (xs + [run.u.interior])[-ANDERSON_DEPTH - 1 :]
-            gs = (gs + [Tu.interior - run.u.interior])[-ANDERSON_DEPTH - 1 :]
-            run.u = run.u.with_interior(_anderson(xs, gs))
+            xs = (xs + [run.u])[-ANDERSON_DEPTH - 1 :]
+            gs = (gs + [Tu - run.u])[-ANDERSON_DEPTH - 1 :]
+            run.u = _anderson(xs, gs)
         else:
             run.u = Tu
         # F of each iterate serves its residual and the next step
-        run.Fu = nl.nemytskii(problem.f, problem.grids, run.u)
+        run.Fu = _F(problem, run.u)
         run.steps = it
         if residual_tol is not None:
             run.residual = _residual(problem, run.u, run.Fu)
@@ -437,7 +437,7 @@ def homotopy_solve(problem: Problem) -> Solution:
                 limit = (f"inner cap: {inner_cap} steps" if cap == inner_cap
                          else f"max_iter: {cfg.max_iter} iterations")
                 note = f"{STOP_NOTES[run.reason].format(limit=limit)} at tau = {tau:.3g}"
-            elif (nrm_sq := product_delta_norm(run.u) ** 2) > bound_sq:
+            elif (nrm_sq := _norm(problem, run.u) ** 2) > bound_sq:
                 note = (
                     f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
                     f"bound {bound_sq:.6g} at tau = {tau:.3g}"
@@ -454,7 +454,8 @@ def homotopy_solve(problem: Problem) -> Solution:
     if note is not None:
         diag["note"] = note
     status = Status.CONVERGED if converged else Status.MAX_ITERATIONS
-    return Solution(run.u, res, status, total_iters, lam1, diagnostics=diag)
+    u = GridFunction.zeros(problem.grids).with_interior(run.u)
+    return Solution(u, res, status, total_iters, lam1, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,8 @@ def _cramer(J, r) -> np.ndarray:
 def _newton(A: np.ndarray, f_vals, u: np.ndarray, alive: np.ndarray):
     """At most 80 Newton steps for Au + F(u) = 0 from each column of the
     block ``u``, which it advances in place.  A start dies, leaving
-    ``alive``, where F(u) is not finite or u leaves [-1e8, 1e8]^d; a start
+    ``alive``, where F(u) is not finite, where it must step and its
+    difference quotient is not, or where u leaves [-1e8, 1e8]^d; a start
     whose residual meets the tolerance, or whose Jacobian is singular, stays
     where it is.  Returns the last residuals and the max-norm of each u."""
     for steps in range(81):  # Newton steps taken so far, at most 80
@@ -509,6 +511,7 @@ def _newton(A: np.ndarray, f_vals, u: np.ndarray, alive: np.ndarray):
             return R, scale
         h = 1e-6 * np.maximum(1.0, abs_u)
         fp = (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
+        alive &= ~active | np.isfinite(fp).all(axis=0)
         # the Jacobian A + diag(f'(u)): arrays on the diagonal, scalars off it
         J = [[a + fp[i] if i == j else a for j, a in enumerate(row)]
              for i, row in enumerate(A)]
@@ -550,6 +553,8 @@ def enumerate_small(
     def f_vals(u: np.ndarray) -> np.ndarray:  # u: (d, S)
         try:
             out = nl.evaluate_arrays(problem.f, xs, u)
+            if isinstance(out, np.ndarray) and out.shape == u.shape and out.dtype == float:
+                return out
             return np.broadcast_to(out, u.shape).astype(float, copy=False)
         except nl.EvaluationError as err:
             # NaN where f is undefined, so that _newton kills those starts

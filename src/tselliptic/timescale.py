@@ -403,17 +403,6 @@ def _shape(grids: Sequence[Grid]) -> tuple[int, ...]:
     return tuple(len(g.points) for g in grids)
 
 
-def coordinates(grids: Sequence[Grid]) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Each axis's points shaped to broadcast over the closed product grid,
-    and the shape of that grid."""
-    n = len(grids)
-    xs = [
-        g.points.reshape([-1 if d == ax else 1 for d in range(n)])
-        for ax, g in enumerate(grids)
-    ]
-    return xs, _shape(grids)
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real values on the closed product of per-axis grids.
@@ -517,6 +506,17 @@ def axis_apply(x: np.ndarray, mats, weights=None) -> np.ndarray:
     return x
 
 
+def array_inner(x: np.ndarray, y: np.ndarray, weights: Sequence[np.ndarray]) -> float:
+    """Sum of x y w over a product of grid points, where w is the tensor
+    product of the per-axis ``weights``: every inner product and norm of the
+    grid measure, on the closed grid or on the interior."""
+    return float(axis_apply(x * y, [w[None, :] for w in weights]).sum())
+
+
+def array_norm(x: np.ndarray, weights: Sequence[np.ndarray]) -> float:
+    return math.sqrt(max(array_inner(x, x, weights), 0.0))
+
+
 def product_delta_inner(u: GridFunction, v: GridFunction) -> float:
     """Inner product sum of u v w over the closed grid, where w is the tensor
     product of the per-axis grid weights (:attr:`Grid.weights`).
@@ -527,9 +527,8 @@ def product_delta_inner(u: GridFunction, v: GridFunction) -> float:
     """
     if u.grids != v.grids:
         raise GridMismatchError("grid functions live on different grids")
-    rows = [g.weights[None, :] for g in u.grids]  # contracted axis by axis
-    return float(axis_apply(u.values * v.values, rows).sum())
+    return array_inner(u.values, v.values, [g.weights for g in u.grids])
 
 
 def product_delta_norm(u: GridFunction) -> float:
-    return math.sqrt(max(product_delta_inner(u, u), 0.0))
+    return array_norm(u.values, [g.weights for g in u.grids])

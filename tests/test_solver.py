@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tselliptic.solver import (
 from tselliptic.spectral import tensor_spectrum
 from tselliptic.timescale import (
     MAX_AXIS_POINTS,
+    GridFunction,
     MeshParams,
     ProductGridFunction,
     TimeScale,
@@ -51,9 +53,8 @@ def make_problem(axes, f_text, bindings=None, mesh=None, hyp=None, config=None):
 class TestSpectralInverse:
     def test_matches_green_inverse_1d(self):
         p = make_problem(["0,1,2,3"], "0")
-        f = ProductGridFunction((p.grids[0],), [0.0, 1.0, 0.0, 0.0])
-        u = spectral_inverse(p.spectra, f)
-        assert np.allclose(u.values, [0, 2 / 3, 1 / 3, 0], atol=1e-13)
+        u = spectral_inverse(p.spectra, np.array([1.0, 0.0]))
+        assert np.allclose(u, [2 / 3, 1 / 3], atol=1e-13)
 
     def test_eigenfunction_scaling(self):
         p = make_problem(["0,1,2,3", "0,1,2,3"], "0")
@@ -61,15 +62,14 @@ class TestSpectralInverse:
         for k in range(4):
             up = tensor.eigenfunction(k)
             lam = tensor.eigenvalues[k]
-            got = spectral_inverse(p.spectra, up)
-            assert np.abs(got.values - up.values / lam).max() <= 1e-12
+            got = spectral_inverse(p.spectra, up.interior)
+            assert np.abs(got - up.interior / lam).max() <= 1e-12
 
     def test_2d_constant(self):
         # Au = -C over the 2x2 interior gives u = -C/2 everywhere
         p = make_problem(["0,1,2,3", "0,1,2,3"], "0")
-        f = p.constant_function(-1.0)
-        u = spectral_inverse(p.spectra, f)
-        assert np.abs(u.interior + 0.5).max() <= 1e-13
+        u = spectral_inverse(p.spectra, np.full((2, 2), -1.0))
+        assert np.abs(u + 0.5).max() <= 1e-13
 
     def test_norm_bound_random(self, rng):
         for _ in range(40):
@@ -79,7 +79,7 @@ class TestSpectralInverse:
             vals = rng.standard_normal(len(g.points))
             vals[0] = vals[-1] = 0.0
             f = ProductGridFunction((g,), vals)
-            u = spectral_inverse(p.spectra, f)
+            u = f.with_interior(spectral_inverse(p.spectra, f.interior))
             assert (
                 product_delta_norm(u)
                 <= product_delta_norm(f) / p.lambda1 + 1e-10
@@ -91,12 +91,10 @@ class TestSpectralInverse:
         )
         shape = tuple(g.n_interior for g in p.grids)
         assert len(set(shape)) == 3
-        f = ProductGridFunction.zeros(p.grids).with_interior(
-            rng.standard_normal(shape)
-        )
+        f = rng.standard_normal(shape)
         u = spectral_inverse(p.spectra, f)
-        exact = np.linalg.solve(_dense_operator(p), f.interior.ravel())
-        assert np.abs(u.interior.ravel() - exact).max() <= 1e-12
+        exact = np.linalg.solve(_dense_operator(p), f.ravel())
+        assert np.abs(u.ravel() - exact).max() <= 1e-12
 
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
     @pytest.mark.parametrize("axes", [["[0,1],2,3"], ["[0,1],2,3", "0,1,2,3"]])
@@ -113,10 +111,8 @@ class TestSpectralInverse:
 class TestApplyOperator:
     def test_3d_diagonal_coefficient(self):
         p = make_problem(["0,1,2,3", "5,7,10", "4,6,7"], "0")
-        probe = ProductGridFunction.zeros(p.grids).with_interior(
-            np.array([1.0, 0.0]).reshape(2, 1, 1)
-        )
-        diag = apply_operator(p.operators, probe).interior.ravel()[0]
+        probe = np.array([1.0, 0.0]).reshape(2, 1, 1)
+        diag = apply_operator(p.operators, probe).ravel()[0]
         assert abs(diag - 34.0 / 9.0) <= 1e-12
         assert abs(sum(op.diag[0] for op in p.operators) - 34.0 / 9.0) <= 1e-12
 
@@ -129,7 +125,8 @@ class TestApplyOperator:
             u = ProductGridFunction.zeros(p.grids).with_interior(
                 vals[tuple(slice(1, -1) for _ in p.grids)]
             )
-            quad = product_delta_inner(apply_operator(p.operators, u), u)
+            Au = u.with_interior(apply_operator(p.operators, u.interior))
+            quad = product_delta_inner(Au, u)
             nrm2 = product_delta_inner(u, u)
             assert quad >= p.lambda1 * nrm2 - 1e-10 * (1.0 + abs(quad))
 
@@ -145,8 +142,7 @@ class TestApplyOperator:
         for j in range(d):
             e = np.zeros(d)
             e[j] = 1.0
-            probe = ProductGridFunction.zeros(p.grids).with_interior(e.reshape(shape))
-            probed[:, j] = apply_operator(p.operators, probe).interior.ravel()
+            probed[:, j] = apply_operator(p.operators, e.reshape(shape)).ravel()
         assert np.array_equal(_dense_operator(p), probed)
 
 
@@ -261,9 +257,9 @@ class TestPicard:
     def test_one_f_evaluation_per_iteration(self, monkeypatch, solve):
         # F of each iterate serves its residual and the next step
         calls = []
-        evaluate = nl.nemytskii
+        evaluate = solver._F
         monkeypatch.setattr(
-            nl, "nemytskii", lambda *a: calls.append(1) or evaluate(*a)
+            solver, "_F", lambda *a: calls.append(1) or evaluate(*a)
         )
         # |f| <= 4.3, so f u <= 0.5 u^2 + 4.3^2 / 2 and C = 10 will do
         p = make_problem(
@@ -274,6 +270,49 @@ class TestPicard:
         assert sol.status is Status.CONVERGED
         assert len(calls) == sol.iterations + 1
         assert sol.residual == residual(p, sol.u)
+
+    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
+    def test_iterations_build_no_grid_functions(self, monkeypatch, solve):
+        # the corrector works on interior arrays: two solves whose iteration
+        # counts differ build the same number of grid functions
+        built = []
+        init = GridFunction.__post_init__
+        monkeypatch.setattr(
+            GridFunction, "__post_init__", lambda gf: built.append(1) or init(gf)
+        )
+        runs = []
+        for a in (0.1, 0.5):
+            p = make_problem(
+                ["[0,1],2,3", "0,1,2,3"], "a*sin(u) + 1 + x1", bindings={"a": a},
+                mesh=MeshParams(h=1e-2), hyp=GrowthHypotheses(L=a, alpha=0.5, cbound=10.0),
+            )
+            built.clear()
+            sol = solve(p)
+            assert sol.status is Status.CONVERGED
+            runs.append((sol.iterations, len(built)))
+        (it1, built1), (it2, built2) = runs
+        assert it1 != it2
+        assert built1 == built2
+
+    def test_f_undefined_on_the_boundary_only(self):
+        # the equation reads f at interior points, so 1/x solves on [0, 1]
+        p = make_problem(["[0,1]"], "1/x", mesh=MeshParams(h=0.05), hyp=GrowthHypotheses(L=0.0))
+        sol = picard_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.residual == residual(p, sol.u)
+
+    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
+    @pytest.mark.parametrize(
+        "axes, point", [(["0,1,2,3"], "(1.0,)"), (["0,1,2,3", "0,1,2,3"], "(1.0, 1.0)")]
+    )
+    def test_undefined_iterate_names_interior_point(self, solve, axes, point):
+        # f is defined at u = 0 on the interior (not at x1 = 0); the first
+        # step makes u negative, so sqrt fails where x1 = 1
+        cfg = SolverConfig(assume_hypotheses=True)
+        hyp = GrowthHypotheses(L=0.5, alpha=0.0, cbound=10.0)
+        p = make_problem(axes, "1 + sqrt(u + x1 - 1)", hyp=hyp, config=cfg)
+        with pytest.raises(nl.EvaluationError, match=f"at grid point {re.escape(point)}$"):
+            solve(p)
 
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
     def test_undefined_f_names_grid_point(self, solve):
@@ -341,9 +380,9 @@ class TestPicard:
             vals[:, 0] = vals[:, -1] = 0.0
             u = ProductGridFunction((g,), vals[0])
             v = ProductGridFunction((g,), vals[1])
-            Gu = spectral_inverse(p.spectra, u.with_interior(c * u.interior))
-            Gv = spectral_inverse(p.spectra, v.with_interior(c * v.interior))
-            lhs = product_delta_norm(Gu.with_interior(Gu.interior - Gv.interior))
+            Gu = spectral_inverse(p.spectra, c * u.interior)
+            Gv = spectral_inverse(p.spectra, c * v.interior)
+            lhs = product_delta_norm(u.with_interior(Gu - Gv))
             rhs = (c / p.lambda1) * product_delta_norm(
                 u.with_interior(u.interior - v.interior)
             )
@@ -372,12 +411,12 @@ class TestSolverConfig:
 class TestResidual:
     def test_exact_discrete_solution(self):
         p = make_problem(["0,1,2,3"], "C", bindings={"C": 1.0})
-        u = p.constant_function(-1.0)
+        u = GridFunction.zeros(p.grids).with_interior(-1.0)
         assert residual(p, u) <= 1e-12
 
     def test_zero_function_zero_f(self):
         p = make_problem(["0,1,2,3"], "0")
-        assert residual(p, p.constant_function(0.0)) == 0.0
+        assert residual(p, GridFunction.zeros(p.grids)) == 0.0
 
     def test_resonant_eigenfunction(self):
         p = make_problem(["0,1,2,3"], "-u")
@@ -712,6 +751,19 @@ class TestEnumerateSmall:
             assert s.residual <= 1e-10
         assert res.candidates.min() >= -20.0
 
+    @pytest.mark.parametrize(
+        "f, root", [("sqrt(u) + u - 3", ((37**0.5 - 1) / 6) ** 2), ("sqrt(u) + u", 0.0)],
+        ids=["steps-from-0", "root-at-0"],
+    )
+    def test_undefined_difference_quotient_kills_moving_start(self, f, root):
+        # A = 2; at u = 0 sqrt(u - h) is undefined, so the start there dies
+        # when it must step (residual 3 in the first case) and stays when
+        # it already solves the equation (the second)
+        p = make_problem(["0,1,2"], f)
+        res = enumerate_small(p, box=10.0, grid_density=11)
+        assert [s.u.interior[0] for s in res.solutions] == pytest.approx([root], abs=1e-12)
+        assert res.candidates.ravel() == pytest.approx([root], abs=1e-12)
+
     def test_single_unknown(self):
         # (5/18) u + u^2 = 0 has roots 0 and -5/18
         p = make_problem(["5,7,10"], "u^2")
@@ -735,14 +787,15 @@ class TestEnumerateSmall:
     def test_blocks_match_one_block(self, monkeypatch):
         # A + diag(f'(u)) at u = (0, 0) is [[0.5, -1], [-1, 2]], singular with
         # exact difference quotients, and that start stays; starts with a
-        # component below -3 die where sqrt(u + 3) is undefined
+        # component at or below -3 die where sqrt(u + 3) or its difference
+        # quotient is undefined
         f = "(2-x)*(-1.5*u + c) + (x-1)*(u^2 - 1) + 0*sqrt(u + 3)"
         p = make_problem(["0,1,2,3"], f, bindings={"c": 2.0**-20})
         monkeypatch.setattr(solver, "NEWTON_BLOCK", 10**9)
         whole = enumerate_small(p, box=5.0, grid_density=21)
         assert len(whole.solutions) == 2
         assert [0.0, 0.0] in whole.candidates.tolist()
-        assert whole.candidates.min() == -3.0
+        assert whole.candidates.min() > -3.0
         # 441 starts: 44 blocks of 10 and one of a single start
         monkeypatch.setattr(solver, "NEWTON_BLOCK", 10)
         blocked = enumerate_small(p, box=5.0, grid_density=21)

@@ -311,10 +311,10 @@ class TestOneAxisProduct:
             assert weighted_inner(u, v) == product_delta_inner(p, v)
             Fu = nemytskii(f, (g,), u)
             assert np.array_equal(Fu.values, u.values**3 - g.points)
-            y = spectral_inverse([spectrum_1d(g)], u)
-            ref = tridiag_solve(assemble(g), u)
-            scale = np.abs(ref.values).max()
-            assert np.abs(y.values - ref.values).max() <= 1e-10 * scale
+            y = spectral_inverse([spectrum_1d(g)], u.interior)
+            ref = tridiag_solve(assemble(g), u.interior)
+            scale = np.abs(ref).max()
+            assert np.abs(y - ref).max() <= 1e-10 * scale
 
     def test_grid_needs_one_axis(self):
         g = discretize(DISCRETE)
