@@ -124,10 +124,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
         if m.lastgroup:
             tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
@@ -375,17 +375,16 @@ def _grid_point(points: Sequence[np.ndarray], mask) -> tuple[float, ...]:
     return tuple(float(p[j]) for p, j in zip(points, idx))
 
 
-def substitute(e: Expression, points: Sequence[np.ndarray], u, sample: str = ""):
+def substitute(e: Expression, points: Sequence[np.ndarray], u):
     """f(x, u(x)) over the product of the per-axis ``points`` (the solvers
     pass the interior ones) for u an array over it or one value, as floats;
-    an undefined value raises EvaluationError naming its grid point, then
-    ``sample``, with which a caller that samples u names it (", u = -10")."""
+    an undefined value raises EvaluationError naming its grid point."""
     try:
         vals = np.asarray(evaluate_arrays(e, np.ix_(*points), u), dtype=float)
     except EvaluationError as err:
         if err.mask is not None:
             point = _grid_point(points, err.mask)
-            err = EvaluationError(f"{err} at grid point {point}{sample}")
+            err = EvaluationError(f"{err} at grid point {point}")
         raise err from None
     return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, np.shape(u)))
 
@@ -422,49 +421,53 @@ class GrowthHypotheses:
             raise ValueError("one-sided constant C must be >= 0")
 
 
+def _sampled(e: Expression, points, u_range, samples: int, name: str):
+    """Each of ``samples`` values v spaced evenly over ``u_range``, with f
+    over the product of ``points`` as a function of u: an undefined value
+    raises EvaluationError naming its grid point, then ``name = v``."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    for v in np.linspace(u_range[0], u_range[1], samples):
+        def f(u, v=v):
+            try:
+                return substitute(e, points, np.float64(u))
+            except EvaluationError as err:
+                raise EvaluationError(f"{err}, {name} = {v:g}") from None
+        yield v, f
+
+
 def estimate_lipschitz(
     e: Expression,
-    grids: Sequence[Grid],
+    points: Sequence[np.ndarray],
     u_range: tuple[float, float],
     samples: int = 101,
 ) -> float:
-    """Max of |df/du| over grid points x and sampled u, by central
-    differences with step 1e-6 * scale.
+    """Max of |df/du| over the product of the per-axis ``points`` and
+    sampled u, by central differences with step 1e-6 * scale.
 
     A sampled lower estimate of the true Lipschitz constant, not a
     certificate: the solver only uses it when explicitly accepted.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    lo, hi = u_range
-    points = [g.points for g in grids]  # sampled on the closed grid
     best = 0.0
-    for uv in np.linspace(lo, hi, samples):
+    for uv, f in _sampled(e, points, u_range, samples, "u"):
         d = 1e-6 * max(1.0, abs(uv))
-        sample = f", u = {uv:g}"
-        up = substitute(e, points, np.float64(uv + d), sample)
-        dn = substitute(e, points, np.float64(uv - d), sample)
-        slope = np.abs(np.asarray(up) - np.asarray(dn)) / (2.0 * d)
+        slope = np.abs(f(uv + d) - f(uv - d)) / (2.0 * d)
         best = max(best, float(np.max(slope)))
     return best
 
 
 def check_one_sided(
     e: Expression,
-    grids: Sequence[Grid],
+    points: Sequence[np.ndarray],
     alpha: float,
     cbound: float,
     u_range: tuple[float, float],
     samples: int = 101,
 ) -> tuple[tuple[float, ...], float] | None:
-    """Sample f(x, eta) * eta <= alpha * eta^2 + C; return the first
-    violation as (x, eta), or None when every sample holds."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    points = [g.points for g in grids]  # sampled on the closed grid
-    for eta in np.linspace(u_range[0], u_range[1], samples):
-        f_eta = substitute(e, points, np.float64(eta), f", eta = {eta:g}")
-        lhs = np.asarray(f_eta) * eta
+    """Sample f(x, eta) * eta <= alpha * eta^2 + C over the product of the
+    per-axis ``points``; return the first violation as (x, eta), or None."""
+    for eta, f in _sampled(e, points, u_range, samples, "eta"):
+        lhs = f(eta) * eta
         rhs = alpha * eta**2 + cbound
         bad = lhs > rhs + 1e-9 * (1.0 + abs(rhs))
         if bad.any():

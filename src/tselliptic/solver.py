@@ -151,6 +151,12 @@ class Problem:
         return grids
 
     @functools.cached_property
+    def interior_points(self) -> tuple[np.ndarray, ...]:
+        """Each axis's interior points, where u may be nonzero: a solve reads f
+        only at their product."""
+        return tuple(g.points[1:-1] for g in self.grids)
+
+    @functools.cached_property
     def operators(self) -> tuple[op_mod.DirichletOperator1D, ...]:
         return tuple(op_mod.assemble(g) for g in self.grids)
 
@@ -221,8 +227,8 @@ def _inverse(problem: Problem, f: np.ndarray) -> np.ndarray:
 
 
 def _F(problem: Problem, u: np.ndarray) -> np.ndarray:
-    """F(u) for an interior array u, the only points where f is read."""
-    return nl.substitute(problem.f, [g.interior for g in problem.grids], u)
+    """F(u) for an interior array u."""
+    return nl.substitute(problem.f, problem.interior_points, u)
 
 
 def _norm(problem: Problem, v: np.ndarray) -> float:
@@ -236,7 +242,7 @@ def residual(problem: Problem, u: GridFunction) -> float:
     Uses the direct tridiagonal operator action, independent of the
     spectral route that produced u.
     """
-    if u.boundary_max() > 1e-12:
+    if u.boundary_max() > op_mod.BOUNDARY_TOL:
         raise ValueError("residual requires zero boundary values")
     return _residual(problem, u.interior, _F(problem, u.interior))
 
@@ -269,7 +275,7 @@ def _resolve_lipschitz(problem: Problem) -> tuple[float, bool]:
         )
     box = problem.config.box
     L = nl.estimate_lipschitz(
-        problem.f, problem.grids, (-box, box), max(problem.config.density, 11)
+        problem.f, problem.interior_points, (-box, box), max(problem.config.density, 11)
     )
     return L, True
 
@@ -410,7 +416,7 @@ def homotopy_solve(problem: Problem) -> Solution:
     if not cfg.assume_hypotheses:
         span = max(10.0, 2.0 * radius)
         witness = nl.check_one_sided(
-            problem.f, problem.grids, hyp.alpha, hyp.cbound, (-span, span)
+            problem.f, problem.interior_points, hyp.alpha, hyp.cbound, (-span, span)
         )
         if witness is not None:
             raise HypothesisError(
@@ -547,8 +553,7 @@ def enumerate_small(
         )
     A = _dense_operator(problem)
     # coordinates of the unknowns (C order of the interior tensor) as columns
-    interiors = [g.interior for g in problem.grids]
-    xs = [c.reshape(-1, 1) for c in np.meshgrid(*interiors, indexing="ij")]
+    xs = [c.reshape(-1, 1) for c in np.meshgrid(*problem.interior_points, indexing="ij")]
 
     def f_vals(u: np.ndarray) -> np.ndarray:  # u: (d, S)
         try:

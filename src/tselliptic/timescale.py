@@ -326,11 +326,6 @@ class Grid:
         return dense
 
     @property
-    def m(self) -> int:
-        """Index of the last point (the grid has m + 1 points)."""
-        return len(self.points) - 1
-
-    @property
     def a(self) -> float:
         return float(self.points[0])
 
@@ -342,11 +337,6 @@ class Grid:
     def mu(self) -> np.ndarray:
         """Forward gaps, length m."""
         return np.diff(self.points)
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Points strictly between a and b."""
-        return self.points[1:-1]
 
     @property
     def n_interior(self) -> int:
@@ -419,12 +409,21 @@ class GridFunction:
     def __post_init__(self):
         grids = _axes(self.grids)
         object.__setattr__(self, "grids", grids)
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # the caller keeps its array
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         expected = _shape(grids)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape}, grids imply {expected}")
+
+    @classmethod
+    def _of(cls, grids: tuple[Grid, ...], vals: np.ndarray) -> "GridFunction":
+        """The function with ``vals``, a float array of the grids' shape built
+        for it that no caller holds, taken without the constructor's copy."""
+        vals.flags.writeable = False
+        gf = object.__new__(cls)
+        gf.__dict__.update(grids=grids, values=vals)
+        return gf
 
     @staticmethod
     def from_callable(grid: Grid, fn: Callable[[float], float]) -> "GridFunction":
@@ -433,7 +432,7 @@ class GridFunction:
     @staticmethod
     def zeros(grids: Grid | Sequence[Grid]) -> "GridFunction":
         grids = _axes(grids)
-        return GridFunction(grids, np.zeros(_shape(grids)))
+        return GridFunction._of(grids, np.zeros(_shape(grids)))
 
     @property
     def grid(self) -> Grid:
@@ -453,7 +452,7 @@ class GridFunction:
     def with_interior(self, interior: np.ndarray) -> "GridFunction":
         vals = np.zeros(self.values.shape)
         vals[tuple(slice(1, -1) for _ in self.grids)] = interior
-        return GridFunction(self.grids, vals)
+        return GridFunction._of(self.grids, vals)
 
     def boundary_max(self) -> float:
         """Largest absolute value on the boundary of the closed product."""

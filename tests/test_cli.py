@@ -297,12 +297,52 @@ class TestSolve:
     )
     def test_undefined_f_names_sampled_u(self, tmp_path, capsys, config, sample):
         # sqrt(u) is defined at every grid point of the iterates; the
-        # sampled range (-box, box) of the hypothesis checks is not
+        # sampled range (-box, box) of the hypothesis checks is not.  The
+        # checks sample the interior, so the first point named is x = 1.
         cfg = write_config(tmp_path, axes=["0,1,2,3"], f="sqrt(u) + 1", **config)
         assert cli.main(["solve", "--config", cfg]) == 3
         assert capsys.readouterr().err == (
-            "error: square root of a negative value at grid point (0.0,), "
+            "error: square root of a negative value at grid point (1.0,), "
             f"{sample}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"solver": {"accept_estimated_L": True}},
+            {"hypotheses": {"alpha": 0.5, "C": 1e4}, "solver": {"method": "homotopy"}},
+        ],
+        ids=["lipschitz", "one-sided"],
+    )
+    def test_f_undefined_on_the_boundary_only(self, tmp_path, config):
+        # 1/x is undefined at x = 0, where neither the equation nor the
+        # hypothesis checks read f
+        cfg = write_config(
+            tmp_path, axes=["[0,1]"], mesh={"h": 0.05}, f="1/x + 0.1*sin(u)", **config
+        )
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["status"] == "converged"
+
+    def test_diverged_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, axes=["0,1,2,3"], f="-u^3", hypotheses={"L": 0.5},
+            solver={"initial_guess": 3.0},
+        )
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["note"].startswith("diverged")
+
+    def test_zero_to_negative_power_exit_3(self, tmp_path, capsys):
+        # the first iterate is 0, where u^-1 is undefined
+        cfg = write_config(
+            tmp_path, axes=["0,1,2,3"], f="u^-1 + 1", hypotheses={"L": 0.5}
+        )
+        assert cli.main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: zero raised to a negative power at grid point (1.0,)\n"
         )
 
     def test_homotopy_missing_hypotheses_exit_3(self, tmp_path):

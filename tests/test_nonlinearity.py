@@ -131,6 +131,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("")
 
+    @pytest.mark.parametrize("text, offset", [("u $ 2", 2), ("u$", 1), ("1 +\t #", 5)])
+    def test_bad_character_offset(self, text, offset):
+        # the offset is that of the character, not of the whitespace before it
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.offset == offset
+
     def test_integer_exponent_enforced(self):
         with pytest.raises(ParseError):
             parse("u^2.5")
@@ -217,38 +224,39 @@ class TestNemytskii:
 
 class TestLipschitzEstimate:
     def test_linear(self):
-        est = estimate_lipschitz(parse("-2*u"), (G4,), (-5.0, 5.0))
+        est = estimate_lipschitz(parse("-2*u"), [G4.points], (-5.0, 5.0))
         assert est == pytest.approx(2.0, abs=1e-6)
 
     def test_constant(self):
-        est = estimate_lipschitz(parse("7"), (G4,), (-5.0, 5.0))
+        est = estimate_lipschitz(parse("7"), [G4.points], (-5.0, 5.0))
         assert est == 0.0
 
     def test_quadratic_range(self):
-        est = estimate_lipschitz(parse("1+u^2"), (G4,), (-5.0, 5.0))
+        est = estimate_lipschitz(parse("1+u^2"), [G4.points], (-5.0, 5.0))
         assert est == pytest.approx(10.0, abs=1e-4)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            estimate_lipschitz(parse("u"), (G4,), (-1.0, 1.0), samples=1)
+            estimate_lipschitz(parse("u"), [G4.points], (-1.0, 1.0), samples=1)
 
 
 class TestOneSided:
     def test_negative_linear_passes(self):
-        assert check_one_sided(parse("-u"), (G4,), 0.5, 0.0, (-10.0, 10.0)) is None
+        assert check_one_sided(parse("-u"), [G4.points], 0.5, 0.0, (-10.0, 10.0)) is None
 
     def test_positive_linear_fails_large_eta(self):
-        x, eta = check_one_sided(parse("2*u"), (G4,), 0.9, 5.0, (-10.0, 10.0))
+        x, eta = check_one_sided(parse("2*u"), [G4.points], 0.9, 5.0, (-10.0, 10.0))
         assert x == (0.0,)
         assert abs(eta) > 2.0
 
     def test_superlinear_fails(self):
-        assert check_one_sided(parse("1+u^2"), (G4,), 0.9, 100.0, (-50.0, 50.0))
+        assert check_one_sided(parse("1+u^2"), [G4.points], 0.9, 100.0, (-50.0, 50.0))
 
     def test_witness_names_the_grid_point(self):
         # (2 eta + x1) eta <= 2 eta^2 fails at eta = 1 wherever x1 > 0
         g = discretize(TimeScale.parse("[0,1]"), MeshParams(h=0.25))
-        x, eta = check_one_sided(parse("2*u + x"), (g, g), 2.0, 0.0, (0.0, 1.0), 2)
+        points = [g.points, g.points]
+        x, eta = check_one_sided(parse("2*u + x"), points, 2.0, 0.0, (0.0, 1.0), 2)
         assert (x, eta) == ((0.25, 0.0), 1.0)
 
 
@@ -257,16 +265,16 @@ class TestUndefinedOnGrid:
 
     def test_one_sided(self):
         with pytest.raises(EvaluationError, match=r"at grid point \(0\.0,\)"):
-            check_one_sided(parse("sqrt(u)"), (G4,), 0.5, 1.0, (-10.0, 10.0))
+            check_one_sided(parse("sqrt(u)"), [G4.points], 0.5, 1.0, (-10.0, 10.0))
 
     def test_lipschitz(self):
         with pytest.raises(EvaluationError, match=r"at grid point \(0\.0,\)"):
-            estimate_lipschitz(parse("sqrt(u)"), (G4,), (-1.0, 1.0))
+            estimate_lipschitz(parse("sqrt(u)"), [G4.points], (-1.0, 1.0))
 
     def test_coordinate_dependent(self):
         # 1/(x - 2) is undefined only at x = 2, whatever u is
         with pytest.raises(EvaluationError, match=r"at grid point \(2\.0,\)"):
-            estimate_lipschitz(parse("u/(x - 2)"), (G4,), (-1.0, 1.0))
+            estimate_lipschitz(parse("u/(x - 2)"), [G4.points], (-1.0, 1.0))
 
 
 class TestGrowthHypotheses:

@@ -276,10 +276,12 @@ class TestPicard:
         # the corrector works on interior arrays: two solves whose iteration
         # counts differ build the same number of grid functions
         built = []
-        init = GridFunction.__post_init__
+        init, of = GridFunction.__post_init__, GridFunction._of
         monkeypatch.setattr(
             GridFunction, "__post_init__", lambda gf: built.append(1) or init(gf)
         )
+        # zeros and with_interior build theirs without the constructor's copy
+        monkeypatch.setattr(GridFunction, "_of", lambda *a: built.append(1) or of(*a))
         runs = []
         for a in (0.1, 0.5):
             p = make_problem(
@@ -301,6 +303,35 @@ class TestPicard:
         assert sol.status is Status.CONVERGED
         assert sol.residual == residual(p, sol.u)
 
+    @pytest.mark.parametrize(
+        "solve, hyp, cfg",
+        [
+            (picard_solve, GrowthHypotheses(), SolverConfig(accept_estimated_L=True)),
+            (homotopy_solve, GrowthHypotheses(alpha=0.5, cbound=1e4), SolverConfig()),
+        ],
+        ids=["estimated-L", "one-sided"],
+    )
+    def test_hypothesis_checks_skip_the_boundary(self, solve, hyp, cfg):
+        # the checks sample f where the equation reads it, at interior points
+        p = make_problem(
+            ["[0,1]"], "1/x + 0.1*sin(u)", mesh=MeshParams(h=0.05), hyp=hyp, config=cfg
+        )
+        sol = solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.residual == residual(p, sol.u)
+
+    def test_diverging_steps_stop(self):
+        # L = 0.5 passes the gate, but -u^3 is not 0.5-Lipschitz: from u = 3
+        # the steps grow by more than 1e6 within three iterations
+        p = make_problem(
+            ["0,1,2,3"], "-u^3", hyp=GrowthHypotheses(L=0.5),
+            config=SolverConfig(initial_guess=3.0),
+        )
+        sol = picard_solve(p)
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations == 3
+        assert sol.diagnostics["note"] == solver.STOP_NOTES["diverged"]
+
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
     @pytest.mark.parametrize(
         "axes, point", [(["0,1,2,3"], "(1.0,)"), (["0,1,2,3", "0,1,2,3"], "(1.0, 1.0)")]
@@ -319,7 +350,8 @@ class TestPicard:
         cfg = SolverConfig(accept_estimated_L=True)
         hyp = GrowthHypotheses(alpha=0.5, cbound=1.0)
         p = make_problem(["0,1,2,3"], "sqrt(u)", hyp=hyp, config=cfg)
-        with pytest.raises(nl.EvaluationError, match=r"at grid point \(0\.0,\)"):
+        # the hypothesis checks sample the interior, whose first point is 1
+        with pytest.raises(nl.EvaluationError, match=r"at grid point \(1\.0,\)"):
             solve(p)
 
     def test_2d_nonlinear_contraction(self):
@@ -682,6 +714,16 @@ class TestCramer:
 
 
 class TestEnumerateSmall:
+    @pytest.mark.parametrize("f, F", [("1", [1.0, 1.0]), ("x1", [1.0, 2.0])])
+    def test_f_free_of_u(self, f, F):
+        # f's values do not have u's shape and broadcast to every start; the
+        # one root solves the linear system A u = -F
+        p = make_problem(["0,1,2,3"], f)
+        res = enumerate_small(p, box=5.0, grid_density=11)
+        [sol] = res.solutions
+        want = np.linalg.solve(_dense_operator(p), -np.array(F))
+        assert np.abs(sol.u.interior - want).max() <= 1e-12
+
     def test_superlinear_no_solution(self):
         p = make_problem(["0,1,2,3"], "1+u^2")
         res = enumerate_small(p, box=100.0, grid_density=150)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,29 @@ class TestValidation:
         g = discretize(DISCRETE)
         with pytest.raises(ValueError):
             GridFunction(g, [1.0, 2.0])
+
+    def test_caller_array_is_copied(self):
+        g = discretize(DISCRETE)
+        vals = np.array([0.0, 1.0, 2.0, 0.0])
+        u = GridFunction(g, vals)
+        vals[1] = 5.0
+        assert u.values.tolist() == [0.0, 1.0, 2.0, 0.0]
+
+    def test_with_interior_holds_one_closed_array(self):
+        # 42^3 points: with_interior builds the closed array once and keeps
+        # it, so its peak is that one array
+        g = discretize(TimeScale.parse("[0,1],2"), MeshParams(h=2.5e-2))
+        zero = GridFunction.zeros((g, g, g))
+        interior = np.ones(zero.interior.shape)
+        tracemalloc.start()
+        try:
+            u = zero.with_interior(interior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * zero.values.nbytes
+        assert np.array_equal(u.interior, interior)
+        assert u.boundary_max() == 0.0
 
     def test_immutability(self):
         g = discretize(DISCRETE)
