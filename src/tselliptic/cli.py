@@ -114,7 +114,7 @@ def build_problem(cfg: dict, h_override: float | None = None) -> tuple[sv.Proble
         axes = [TimeScale.parse(s) for s in cfg["axes"]]
         problem = sv.Problem(
             axes=axes,
-            f=nl.parse(cfg.get("f", "0"), cfg.get("params"), len(axes)),
+            f=nl.parse(cfg.get("f", "0"), cfg.get("params")),
             mesh=MeshParams(
                 h=mesh.get("h") if h_override is None else h_override,
                 counts=mesh.get("counts"),
@@ -358,7 +358,7 @@ def cmd_greens(args) -> int:
         grid = problem.grids[0]
         op = op_mod.assemble(grid)
         f = _read_function_file(args.apply, grid)
-        y = f.with_interior(op_mod.tridiag_solve(op, f.interior))
+        y = GridFunction.from_interior(grid, op_mod.tridiag_solve(op, f.interior))
         if outdir is not None:
             _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
         else:

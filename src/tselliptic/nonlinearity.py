@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timescale import Grid, GridFunction
+from .timescale import Grid, GridFunction, GridMismatchError
 
 FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 # Levels an expression may nest: each parenthesis, function call, unary minus
@@ -256,23 +256,9 @@ class _Parser:
         raise ParseError(f"expected a value, found {val or 'end of input'!r}", off)
 
 
-def parse(
-    text: str,
-    bindings: dict[str, float] | None = None,
-    dim: int | None = None,
-) -> Expression:
-    """Parse an expression, folding named parameters to constants.
-
-    ``dim`` (when given) bounds the coordinate indices allowed.
-    """
-    e = _Parser(text, bindings).parse()
-    if dim is not None and max_coordinate(e) > dim:
-        raise ParseError(
-            f"expression uses x{max_coordinate(e)} but the domain has "
-            f"dimension {dim}",
-            0,
-        )
-    return e
+def parse(text: str, bindings: dict[str, float] | None = None) -> Expression:
+    """Parse an expression, folding named parameters to constants."""
+    return _Parser(text, bindings).parse()
 
 
 # --- canonical printer ----------------------------------------------------
@@ -395,7 +381,7 @@ def nemytskii(
     """Pointwise substitution (Fu)(x) = f(x, u(x)) on the closed grid."""
     grids = tuple(grids)
     if u.grids != grids:
-        raise ValueError("grid function does not live on the given grids")
+        raise GridMismatchError("grid function does not live on the given grids")
     return GridFunction(grids, substitute(e, [g.points for g in grids], u.values))
 
 

@@ -75,18 +75,15 @@ def apply(op: DirichletOperator1D, u: GridFunction) -> GridFunction:
     """Apply A to a grid function vanishing at both endpoints."""
     if u.grid != op.grid:
         raise GridMismatchError("grid function does not match operator grid")
-    bmax = max(abs(u.values[0]), abs(u.values[-1]))
-    if bmax > BOUNDARY_TOL:
+    if (bmax := u.boundary_max()) > BOUNDARY_TOL:
         raise ValueError(
             f"boundary values must vanish (|u| at boundary = {bmax:.3e})"
         )
-    v = u.values[1:-1]
+    v = u.interior
     out = op.diag * v
     out[:-1] += op.sup[:-1] * v[1:]
     out[1:] += op.sub[1:] * v[:-1]
-    full = np.zeros_like(u.values)
-    full[1:-1] = out
-    return GridFunction(u.grid, full)
+    return GridFunction.from_interior(u.grids, out)
 
 
 # <u, v> = sum of u_i v_i w_i in the grid weights; one implementation for

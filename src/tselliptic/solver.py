@@ -125,13 +125,10 @@ class Problem:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 4:
+        if not 1 <= self.n <= 4:
             raise ValueError("problem dimension must be between 1 and 4")
-        if nl.max_coordinate(self.f) > len(self.axes):
-            raise ValueError(
-                f"nonlinearity uses x{nl.max_coordinate(self.f)} but the "
-                f"domain has dimension {len(self.axes)}"
-            )
+        if (k := nl.max_coordinate(self.f)) > self.n:
+            raise ValueError(f"nonlinearity uses x{k} but the domain has dimension {self.n}")
 
     @property
     def n(self) -> int:
@@ -199,9 +196,8 @@ def apply_operator(ops: Sequence[op_mod.DirichletOperator1D], v) -> np.ndarray:
         o = np.moveaxis(out, ax, 0)
         shape = (-1,) + (1,) * (v.ndim - 1)
         o += op.diag.reshape(shape) * w
-        if len(op.diag) > 1:
-            o[:-1] += op.sup[:-1].reshape(shape) * w[1:]
-            o[1:] += op.sub[1:].reshape(shape) * w[:-1]
+        o[:-1] += op.sup[:-1].reshape(shape) * w[1:]
+        o[1:] += op.sub[1:].reshape(shape) * w[:-1]
     return out
 
 
@@ -293,8 +289,9 @@ def picard_solve(problem: Problem) -> Solution:
     diag = {"L": L, "L_is_estimate": estimated, "contraction_bound": ratio_bound,
             "lambda1_lower_bound": problem.lambda1_lower_bound}
     if ratio_bound >= 1.0 and not cfg.force:
-        u = GridFunction.zeros(problem.grids).with_interior(cfg.initial_guess)
-        res = residual(problem, u)
+        run = _Run.start(problem)
+        res = _residual(problem, run.u, run.Fu)
+        u = GridFunction.from_interior(problem.grids, run.u)
         return Solution(u, res, Status.NON_CONTRACTION, 0, lam1, None, diag)
     with np.errstate(over="ignore", invalid="ignore"):
         run = _Run.start(problem)
@@ -303,7 +300,7 @@ def picard_solve(problem: Problem) -> Solution:
     if run.reason != "converged":
         limit = f"max_iter: {cfg.max_iter} iterations"
         diag["note"] = STOP_NOTES[run.reason].format(limit=limit)
-    u = GridFunction.zeros(problem.grids).with_interior(run.u)
+    u = GridFunction.from_interior(problem.grids, run.u)
     return Solution(u, run.residual, status, run.steps, lam1, run.ratio, diag)
 
 
@@ -460,7 +457,7 @@ def homotopy_solve(problem: Problem) -> Solution:
     if note is not None:
         diag["note"] = note
     status = Status.CONVERGED if converged else Status.MAX_ITERATIONS
-    u = GridFunction.zeros(problem.grids).with_interior(run.u)
+    u = GridFunction.from_interior(problem.grids, run.u)
     return Solution(u, res, status, total_iters, lam1, diagnostics=diag)
 
 
@@ -586,12 +583,11 @@ def enumerate_small(
             )
     roots = _dedupe(u.T[inside], 1e-6, exact=True)
     candidates = _dedupe(u.T[alive], 1e-6, exact=False)
-    zero = GridFunction.zeros(problem.grids)
     solutions = [
-        Solution(u=gf, residual=residual(problem, gf), status=Status.CONVERGED,
-                 iterations=0, lambda1=problem.lambda1,
-                 diagnostics={"route": "enumeration"})
-        for gf in (zero.with_interior(root.reshape(shape)) for root in roots)
+        Solution(GridFunction.from_interior(problem.grids, r),
+                 _residual(problem, r, _F(problem, r)), Status.CONVERGED, 0,
+                 problem.lambda1, diagnostics={"route": "enumeration"})
+        for r in (root.reshape(shape) for root in roots)
     ]
     status = Status.CONVERGED if solutions else Status.NO_REAL_SOLUTION_SUSPECTED
     return EnumerationResult(solutions=solutions, candidates=candidates, status=status)

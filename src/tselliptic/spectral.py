@@ -31,7 +31,6 @@ from scipy.optimize import brentq
 
 from . import operator as op_mod
 from .timescale import (
-    EmptyInteriorError,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -101,8 +100,6 @@ class Spectrum1D:
 def spectrum_1d(grid: Grid, k: int | None = None) -> Spectrum1D:
     """Matrix-route spectrum of the Dirichlet problem on a grid: the k
     smallest eigenpairs (all when k is None) of the symmetrized operator."""
-    if grid.n_interior < 1:
-        raise EmptyInteriorError("grid has no interior points")
     A = op_mod.assemble(grid)
     top = {} if k is None or k >= A.n else {"select": "i", "select_range": (0, k - 1)}
     w, V = eigh_tridiagonal(A.diag, symmetrize(A), **top)

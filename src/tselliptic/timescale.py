@@ -417,9 +417,13 @@ class GridFunction:
             raise ValueError(f"values shape {vals.shape}, grids imply {expected}")
 
     @classmethod
-    def _of(cls, grids: tuple[Grid, ...], vals: np.ndarray) -> "GridFunction":
-        """The function with ``vals``, a float array of the grids' shape built
-        for it that no caller holds, taken without the constructor's copy."""
+    def from_interior(cls, grids: Grid | Sequence[Grid], interior) -> "GridFunction":
+        """The function with these interior values (an array of the interior
+        shape, or one value) and 0 on the boundary: one closed array, built
+        here and kept without the constructor's copy."""
+        grids = _axes(grids)
+        vals = np.zeros(_shape(grids))
+        vals[tuple(slice(1, -1) for _ in grids)] = interior
         vals.flags.writeable = False
         gf = object.__new__(cls)
         gf.__dict__.update(grids=grids, values=vals)
@@ -431,8 +435,7 @@ class GridFunction:
 
     @staticmethod
     def zeros(grids: Grid | Sequence[Grid]) -> "GridFunction":
-        grids = _axes(grids)
-        return GridFunction._of(grids, np.zeros(_shape(grids)))
+        return GridFunction.from_interior(grids, 0.0)
 
     @property
     def grid(self) -> Grid:
@@ -448,11 +451,6 @@ class GridFunction:
     @property
     def interior(self) -> np.ndarray:
         return self.values[tuple(slice(1, -1) for _ in self.grids)]
-
-    def with_interior(self, interior: np.ndarray) -> "GridFunction":
-        vals = np.zeros(self.values.shape)
-        vals[tuple(slice(1, -1) for _ in self.grids)] = interior
-        return GridFunction._of(self.grids, vals)
 
     def boundary_max(self) -> float:
         """Largest absolute value on the boundary of the closed product."""

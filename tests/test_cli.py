@@ -388,6 +388,21 @@ class TestGreens:
         assert float(rows[2][1]) == pytest.approx(2 / 3, abs=1e-14)
         assert float(rows[3][1]) == pytest.approx(1 / 3, abs=1e-14)
 
+    def test_apply_without_out_prints_rows(self, tmp_path, capsys):
+        # G(t,s), then one headerless t,y row per grid point
+        cfg = write_config(tmp_path, axes=["[0,1],2,3"], mesh={"h": 0.25})
+        points = discretize(TimeScale.parse("[0,1],2,3"), MeshParams(h=0.25)).points
+        ffile = tmp_path / "f.csv"
+        ffile.write_text("t,value\n" + "".join(f"{t!r},1\n" for t in points.tolist()))
+        argv = ["greens", "--config", cfg, "--t", "1", "--s", "1", "--apply", str(ffile)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(points) == 7 and len(lines) == 8
+        assert lines[0].startswith("G(1,1) = ")
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], points)
+        assert rows[0, 1] == rows[-1, 1] == 0.0 and (rows[1:-1, 1] > 0).all()
+
     def test_rejects_2d(self, tmp_path):
         cfg = write_config(tmp_path, axes=["0,1,2,3", "0,1,2,3"])
         assert cli.main(["greens", "--config", cfg, "--t", "1", "--s", "1"]) == 3
@@ -635,6 +650,27 @@ class TestConfigSchema:
         cfg = write_config(tmp_path, **{**BASE, **BAD_CONFIGS[case]})
         assert cli.main(["solve", "--config", cfg]) == 3
         assert_config_error(capsys)
+
+    @pytest.mark.parametrize(
+        "config, fragment",
+        [
+            ({"solver": {"method": "newton"}}, "unknown solver method 'newton'"),
+            ({"f": "x2 + u"}, "nonlinearity uses x2 but the domain has dimension 1"),
+            (None, "cannot read function file"),
+        ],
+        ids=["method-newton", "x2-on-one-axis", "function-file-row"],
+    )
+    def test_refusal_exits_3_with_one_line(self, tmp_path, capsys, config, fragment):
+        cfg = write_config(tmp_path, **{**BASE, **(config or {})})
+        argv = ["solve", "--config", cfg]
+        if config is None:  # a function file whose second row is not t,value
+            ffile = tmp_path / "f.csv"
+            ffile.write_text("0,0\n1\n2,0\n3,0\n")
+            argv = ["greens", "--config", cfg, "--t", "1", "--s", "1", "--apply", str(ffile)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert fragment in err
 
     @pytest.mark.parametrize("case", list(NON_FINITE_CONFIGS))
     def test_non_finite_number_exits_3(self, tmp_path, capsys, case):

@@ -14,6 +14,7 @@ from tselliptic.nonlinearity import (
     check_one_sided,
     estimate_lipschitz,
     evaluate,
+    evaluate_arrays,
     max_coordinate,
     nemytskii,
     parse,
@@ -22,6 +23,7 @@ from tselliptic.nonlinearity import (
 from tselliptic.operator import weighted_norm
 from tselliptic.timescale import (
     GridFunction,
+    GridMismatchError,
     MeshParams,
     ProductGridFunction,
     TimeScale,
@@ -110,6 +112,10 @@ class TestParser:
             "-", Binary("-", Const(1.0), Var("u")), Const(2.0)
         )
 
+    @pytest.mark.parametrize("text", ["u ", "u\t\n", " u  "])
+    def test_trailing_whitespace(self, text):
+        assert parse(text) == Var("u")
+
     def test_x_alias(self):
         assert parse("x") == Var("x1")
         assert max_coordinate(parse("x2*u")) == 2
@@ -148,8 +154,6 @@ class TestParser:
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError):
             parse("k*u")
-        with pytest.raises(ParseError):
-            parse("x1 + x2", dim=1)
 
 
 class TestEvaluate:
@@ -201,6 +205,26 @@ class TestNemytskii:
         F = nemytskii(parse("x1 + 10*x2"), (G4, G4), u)
         expected = G4.points[:, None] + 10 * G4.points[None, :]
         assert np.array_equal(F.values, expected)
+
+    @pytest.mark.parametrize(
+        "call, error, fragment",
+        [
+            (
+                lambda u: evaluate_arrays(parse("x2 + u"), [G4.points], u.values),
+                EvaluationError,
+                "coordinate x2 out of range",
+            ),
+            (
+                lambda u: nemytskii(parse("u"), (G4, G4), u),
+                GridMismatchError,
+                "does not live on the given grids",
+            ),
+        ],
+        ids=["coordinate-out-of-range", "nemytskii-other-grids"],
+    )
+    def test_refusals(self, call, error, fragment):
+        with pytest.raises(error, match=fragment):
+            call(ProductGridFunction.zeros((G4,)))
 
     def test_error_reports_grid_point(self):
         u = ProductGridFunction((G4,), [1.0, 1.0, 0.0, 1.0])

@@ -86,6 +86,12 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(op, GridFunction(G4, [0.1, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("route", [apply, green_inverse])
+    def test_other_grid_rejected(self, route):
+        other = discretize(TimeScale.parse("0,1,2,3,4"))
+        with pytest.raises(GridMismatchError, match="does not match operator grid"):
+            route(assemble(G4), GridFunction.zeros(other))
+
 
 class TestWeightedInner:
     def test_normalized_eigenfunction(self):
@@ -159,7 +165,7 @@ class TestInverses:
             g = discretize(TimeScale.parse("[0,3]"), MeshParams(h=h))
             op = assemble(g)
             f = GridFunction(g, np.full(len(g.points), c))
-            y = f.with_interior(tridiag_solve(op, f.interior))
+            y = GridFunction.from_interior(f.grids, tridiag_solve(op, f.interior))
             exact = c * g.points * (3.0 - g.points) / 2.0
             errs.append(np.abs(y.values - exact).max())
         assert errs[0] <= 1e-10  # second difference of a quadratic is exact

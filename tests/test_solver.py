@@ -79,7 +79,9 @@ class TestSpectralInverse:
             vals = rng.standard_normal(len(g.points))
             vals[0] = vals[-1] = 0.0
             f = ProductGridFunction((g,), vals)
-            u = f.with_interior(spectral_inverse(p.spectra, f.interior))
+            u = GridFunction.from_interior(
+                f.grids, spectral_inverse(p.spectra, f.interior)
+            )
             assert (
                 product_delta_norm(u)
                 <= product_delta_norm(f) / p.lambda1 + 1e-10
@@ -122,10 +124,10 @@ class TestApplyOperator:
             n = int(rng.integers(1, 3))
             p = Problem(axes=[random_timescale(rng) for _ in range(n)], f=parse("0"))
             vals = rng.standard_normal(tuple(len(g.points) for g in p.grids))
-            u = ProductGridFunction.zeros(p.grids).with_interior(
-                vals[tuple(slice(1, -1) for _ in p.grids)]
+            u = ProductGridFunction.from_interior(
+                p.grids, vals[tuple(slice(1, -1) for _ in p.grids)]
             )
-            Au = u.with_interior(apply_operator(p.operators, u.interior))
+            Au = GridFunction.from_interior(u.grids, apply_operator(p.operators, u.interior))
             quad = product_delta_inner(Au, u)
             nrm2 = product_delta_inner(u, u)
             assert quad >= p.lambda1 * nrm2 - 1e-10 * (1.0 + abs(quad))
@@ -276,12 +278,14 @@ class TestPicard:
         # the corrector works on interior arrays: two solves whose iteration
         # counts differ build the same number of grid functions
         built = []
-        init, of = GridFunction.__post_init__, GridFunction._of
+        init, of = GridFunction.__post_init__, GridFunction.from_interior
         monkeypatch.setattr(
             GridFunction, "__post_init__", lambda gf: built.append(1) or init(gf)
         )
-        # zeros and with_interior build theirs without the constructor's copy
-        monkeypatch.setattr(GridFunction, "_of", lambda *a: built.append(1) or of(*a))
+        # from_interior builds its own without the constructor's copy
+        monkeypatch.setattr(
+            GridFunction, "from_interior", lambda *a: built.append(1) or of(*a)
+        )
         runs = []
         for a in (0.1, 0.5):
             p = make_problem(
@@ -414,9 +418,9 @@ class TestPicard:
             v = ProductGridFunction((g,), vals[1])
             Gu = spectral_inverse(p.spectra, c * u.interior)
             Gv = spectral_inverse(p.spectra, c * v.interior)
-            lhs = product_delta_norm(u.with_interior(Gu - Gv))
+            lhs = product_delta_norm(GridFunction.from_interior(u.grids, Gu - Gv))
             rhs = (c / p.lambda1) * product_delta_norm(
-                u.with_interior(u.interior - v.interior)
+                GridFunction.from_interior(u.grids, u.interior - v.interior)
             )
             assert lhs <= rhs + 1e-10
 
@@ -432,6 +436,28 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(density=1)
 
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: make_problem(["0,1,2,3"] * 5, "u"), "between 1 and 4"),
+            (
+                lambda: make_problem(["0,1,2,3"], "x2 + u"),
+                "nonlinearity uses x2 but the domain has dimension 1",
+            ),
+            (
+                lambda: residual(
+                    (p := make_problem(["0,1,2,3"], "u")),
+                    GridFunction(p.grids, [0.0, 0.0, 0.0, 1.0]),
+                ),
+                "residual requires zero boundary values",
+            ),
+        ],
+        ids=["five-axes", "x2-on-one-axis", "residual-boundary"],
+    )
+    def test_problem_refusals(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
     def test_enumerate_arguments(self):
         p = make_problem(["0,1,2,3"], "u")
         with pytest.raises(ValueError):
@@ -443,7 +469,7 @@ class TestSolverConfig:
 class TestResidual:
     def test_exact_discrete_solution(self):
         p = make_problem(["0,1,2,3"], "C", bindings={"C": 1.0})
-        u = GridFunction.zeros(p.grids).with_interior(-1.0)
+        u = GridFunction.from_interior(p.grids, -1.0)
         assert residual(p, u) <= 1e-12
 
     def test_zero_function_zero_f(self):

@@ -17,6 +17,7 @@ from tselliptic.spectral import (
 )
 from tselliptic.timescale import (
     GridFunction,
+    GridMismatchError,
     MeshParams,
     Point,
     ProductGridFunction,
@@ -369,6 +370,25 @@ class TestExpansion:
             # Parseval for interior-supported functions
             norm_sq = float(np.dot(f.values**2, g.weights))
             assert abs((c**2).sum() - norm_sq) <= 1e-9 * (1.0 + norm_sq)
+
+    @pytest.mark.parametrize(
+        "call, error, fragment",
+        [
+            (lambda s: eigen_shooting(DISCRETE, 0), ValueError, "k must be >= 1"),
+            (lambda s: tensor_spectrum([s], 0), ValueError, "K must be >= 1"),
+            (
+                lambda s: expand(s, GridFunction.zeros(discretize(HYBRID))),
+                GridMismatchError,
+                "function grids do not match spectrum axes",
+            ),
+            (lambda s: reconstruct(s, [1.0]), ValueError, "coefficient count"),
+        ],
+        ids=["shooting-k0", "tensor-K0", "expand-other-grid", "reconstruct-count"],
+    )
+    def test_refusals(self, call, error, fragment):
+        s = spectrum_1d(discretize(DISCRETE))
+        with pytest.raises(error, match=fragment):
+            call(s)
 
     def test_spectrum_1d_is_one_axis_tensor(self, rng):
         # a 1D spectrum reads as the one-axis tensor spectrum, so both give

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from tselliptic.spectral import spectrum_1d
 from tselliptic.timescale import (
     DomainError,
     EmptyInteriorError,
+    Grid,
     GridFunction,
     Interval,
     MeshParams,
@@ -257,21 +259,49 @@ class TestValidation:
         vals[1] = 5.0
         assert u.values.tolist() == [0.0, 1.0, 2.0, 0.0]
 
-    def test_with_interior_holds_one_closed_array(self):
-        # 42^3 points: with_interior builds the closed array once and keeps
+    def test_from_interior_holds_one_closed_array(self):
+        # 42^3 points: from_interior builds the closed array once and keeps
         # it, so its peak is that one array
         g = discretize(TimeScale.parse("[0,1],2"), MeshParams(h=2.5e-2))
-        zero = GridFunction.zeros((g, g, g))
-        interior = np.ones(zero.interior.shape)
+        interior = np.ones((g.n_interior,) * 3)
         tracemalloc.start()
         try:
-            u = zero.with_interior(interior)
+            u = GridFunction.from_interior((g, g, g), interior)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * zero.values.nbytes
+        assert peak <= 1.05 * len(g.points) ** 3 * 8
         assert np.array_equal(u.interior, interior)
         assert u.boundary_max() == 0.0
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [
+            (lambda: Interval(0.0, math.inf), "interval endpoints must be finite"),
+            (lambda: Point(math.nan), "point must be finite"),
+            (lambda: TimeScale(()), "at least one segment"),
+            (lambda: TimeScale((Point(1.0),)), "more than one point"),
+            (lambda: TimeScale.parse("[0,1,2]"), "interval needs two endpoints"),
+            (lambda: TimeScale.parse("[0,1]2"), "expected ',' at offset 5"),
+            (
+                lambda: discretize(TimeScale.parse("[0,1],[2,3]"), MeshParams(counts=(3,))),
+                "mesh counts cover 1 intervals, need at least 2",
+            ),
+            (lambda: Grid([0.0], DISCRETE), "at least two points"),
+            (lambda: Grid([0.0, 2.0, 1.0, 3.0], DISCRETE), "strictly increasing"),
+            (lambda: Grid([0.0, 1.0, 3.0], DISCRETE), "isolated point 2.0 missing"),
+            (lambda: Grid([0.0, 0.5, 2.0, 3.0], HYBRID), "interval endpoint 1.0 missing"),
+            (lambda: Grid([0.0, 1.0, 1.5, 2.0, 3.0], HYBRID), "grid point 1.5 is not"),
+        ],
+        ids=[
+            "interval-inf", "point-nan", "no-segments", "one-point", "three-endpoints",
+            "no-comma", "counts-short", "grid-one-point", "grid-decreasing",
+            "grid-isolated-missing", "grid-endpoint-missing", "grid-stray-point",
+        ],
+    )
+    def test_refusals(self, build, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build()
 
     def test_immutability(self):
         g = discretize(DISCRETE)
@@ -311,7 +341,7 @@ class TestProductInner:
             vals[corner] = -3.0
             u = GridFunction(grids, vals)
             assert u.boundary_max() == 3.0
-            assert u.with_interior(u.interior).boundary_max() == 0.0
+            assert GridFunction.from_interior(u.grids, u.interior).boundary_max() == 0.0
 
 
 class TestOneAxisProduct:
