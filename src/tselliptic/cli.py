@@ -356,7 +356,7 @@ def cmd_greens(args) -> int:
     print(f"G({args.t:g},{args.s:g}) = {value:.17g}")
     if args.apply is not None:
         grid = problem.grids[0]
-        op = op_mod.assemble(grid)
+        op = problem.operators[0]
         f = _read_function_file(args.apply, grid)
         y = GridFunction.from_interior(grid, op_mod.tridiag_solve(op, f.interior))
         if outdir is not None:

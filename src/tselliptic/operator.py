@@ -75,7 +75,7 @@ def apply(op: DirichletOperator1D, u: GridFunction) -> GridFunction:
     """Apply A to a grid function vanishing at both endpoints."""
     if u.grid != op.grid:
         raise GridMismatchError("grid function does not match operator grid")
-    if (bmax := u.boundary_max()) > BOUNDARY_TOL:
+    if not (bmax := u.boundary_max()) <= BOUNDARY_TOL:  # NaN fails too
         raise ValueError(
             f"boundary values must vanish (|u| at boundary = {bmax:.3e})"
         )

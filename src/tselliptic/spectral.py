@@ -34,7 +34,6 @@ from .timescale import (
     Grid,
     GridFunction,
     GridMismatchError,
-    Interval,
     TimeScale,
     axis_apply,
 )
@@ -150,11 +149,9 @@ def shoot(ts: TimeScale, lam: float) -> float:
     y, v = 0.0, 1.0
     segments = ts.segments
     for i, seg in enumerate(segments):
-        if isinstance(seg, Interval):
-            y, v = _propagate_interval(y, v, seg.hi - seg.lo, lam)
-            t = seg.hi
-        else:
-            t = seg.t
+        t = seg.max
+        if seg.min < t:  # a point has no length to cross
+            y, v = _propagate_interval(y, v, t - seg.min, lam)
         if i + 1 < len(segments):
             gap = segments[i + 1].min - t
             if t != ts.a:

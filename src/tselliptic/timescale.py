@@ -28,13 +28,15 @@ import numpy as np
 # 800 MB at this size, and the spectrum and the solvers build it.
 MAX_AXIS_POINTS = 10_001
 
+DEFAULT_SUBINTERVALS = 8  # per interval, when a mesh gives neither h nor counts
+
 
 class DomainError(ValueError):
     """A point is not an element of the time scale."""
 
 
 class EmptyInteriorError(ValueError):
-    """The time scale has no points strictly between its endpoints."""
+    """A grid, or its time scale, has no point strictly between its ends."""
 
 
 class GridMismatchError(ValueError):
@@ -129,18 +131,12 @@ class TimeScale:
         return self.segments[-1].max
 
     def __contains__(self, t: float) -> bool:
-        return any(
-            (isinstance(s, Point) and t == s.t)
-            or (isinstance(s, Interval) and s.lo <= t <= s.hi)
-            for s in self.segments
-        )
+        return any(s.min <= t <= s.max for s in self.segments)
 
     def has_interior(self) -> bool:
         """Whether (a, b) intersected with the scale is nonempty."""
-        first = self.segments[0]
-        if isinstance(first, Interval):
-            return True  # (lo, hi) contributes interior points
-        return len(self.segments) > 2 or isinstance(self.segments[-1], Interval)
+        first, last = self.segments[0], self.segments[-1]
+        return len(self.segments) > 2 or first.min < first.max or last.min < last.max
 
     def _require_member(self, t: float) -> None:
         if t not in self:
@@ -149,26 +145,18 @@ class TimeScale:
     def sigma(self, t: float) -> float:
         """Forward jump: the nearest scale point strictly right of t (or t)."""
         self._require_member(t)
-        if t >= self.b:
-            return self.b
-        for i, s in enumerate(self.segments):
-            if isinstance(s, Interval) and s.lo <= t < s.hi:
-                return t  # right-dense
-            if t == s.max:
-                return self.segments[i + 1].min
-        raise AssertionError("unreachable")
+        for s, nxt in zip(self.segments, self.segments[1:]):
+            if s.min <= t <= s.max:
+                return t if t < s.max else nxt.min
+        return t  # right-dense in the last segment, or b
 
     def rho(self, t: float) -> float:
         """Backward jump: the nearest scale point strictly left of t (or t)."""
         self._require_member(t)
-        if t <= self.a:
-            return self.a
-        for i, s in enumerate(self.segments):
-            if isinstance(s, Interval) and s.lo < t <= s.hi:
-                return t  # left-dense
-            if t == s.min:
-                return self.segments[i - 1].max
-        raise AssertionError("unreachable")
+        for prev, s in zip(self.segments, self.segments[1:]):
+            if s.min <= t <= s.max:
+                return t if s.min < t else prev.max
+        return t  # left-dense in the first segment, or a
 
     def mu(self, t: float) -> float:
         """Forward graininess sigma(t) - t."""
@@ -232,12 +220,11 @@ class MeshParams:
     Either a global target step ``h`` (each interval gets
     ceil(length / h) subintervals) or explicit per-interval point
     ``counts`` (each must be >= 2).  With neither, every interval gets
-    ``default_subintervals`` uniform subintervals.
+    ``DEFAULT_SUBINTERVALS`` uniform subintervals.
     """
 
     h: float | None = None
     counts: tuple[int, ...] | None = None
-    default_subintervals: int = 8
 
     def __post_init__(self):
         if self.h is not None and self.counts is not None:
@@ -261,7 +248,7 @@ class MeshParams:
         if self.h is not None:
             # a quotient that overflows to inf still counts, as the largest float
             return max(1, math.ceil(min(length / self.h - 1e-12, sys.float_info.max)))
-        return self.default_subintervals
+        return DEFAULT_SUBINTERVALS
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,21 +292,17 @@ class Grid:
 
     def _dense_cells(self, pts: np.ndarray) -> np.ndarray:
         """Validate the points against the source scale and flag the cells
-        [t_i, t_{i+1}] that lie inside one of its intervals."""
+        [t_i, t_{i+1}] inside one of its intervals: a bisection per segment."""
         member = np.zeros(len(pts), dtype=bool)
         dense = np.zeros(len(pts) - 1, dtype=bool)
         for seg in self.source.segments:
-            if isinstance(seg, Point):
-                member |= pts == seg.t
-                if seg.t not in pts:
-                    raise ValueError(f"isolated point {seg.t} missing from grid")
-            else:
-                inside = (pts >= seg.lo) & (pts <= seg.hi)
-                member |= inside
-                dense |= inside[:-1] & inside[1:]
-                for end in (seg.lo, seg.hi):
-                    if end not in pts:
-                        raise ValueError(f"interval endpoint {end} missing from grid")
+            lo, hi = np.searchsorted(pts, (seg.min, seg.max))  # its ends, if present
+            what = "interval endpoint" if isinstance(seg, Interval) else "isolated point"
+            for end, i in ((seg.min, lo), (seg.max, hi)):
+                if i == len(pts) or pts[i] != end:
+                    raise ValueError(f"{what} {end} missing from grid")
+            member[lo : hi + 1] = True
+            dense[lo:hi] = True  # empty on a point
         if not member.all():
             stray = pts[~member][0]
             raise ValueError(f"grid point {stray} is not in the time scale")
@@ -360,14 +343,15 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     Every isolated point and every interval endpoint is a grid point;
     each interval is filled with a uniform subdivision whose endpoints are
     generated by affine combinations, so they land on the interval ends
-    exactly.  Deterministic: identical inputs give identical grids.
+    exactly.  Deterministic: identical inputs give identical grids.  A grid
+    with no interior point raises :class:`EmptyInteriorError`, for every caller.
     """
     mesh = mesh or MeshParams()
-    if not ts.has_interior():
-        raise EmptyInteriorError(f"time scale {ts} has empty interior")
     intervals = [seg for seg in ts.segments if isinstance(seg, Interval)]
     counts = [mesh.subintervals(seg.hi - seg.lo, i) for i, seg in enumerate(intervals)]
     n_points = sum(counts) + len(ts.segments)
+    if n_points < 3:
+        raise EmptyInteriorError(f"time scale {ts} has no interior grid point at this mesh")
     if n_points > MAX_AXIS_POINTS:
         raise ValueError(
             f"{ts} needs {n_points} grid points at this mesh; "

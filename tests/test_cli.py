@@ -672,6 +672,18 @@ class TestConfigSchema:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert fragment in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "solve", "greens"])
+    def test_mesh_without_interior_exits_3_with_one_line(self, tmp_path, capsys, command):
+        # h = 2 meshes [0,1] as its two ends
+        cfg = write_config(
+            tmp_path, axes=["[0,1]"], mesh={"h": 2}, f="1", hypotheses={"L": 0.0}
+        )
+        ffile = tmp_path / "f.csv"
+        ffile.write_text("0,1\n1,1\n")
+        extra = {"greens": ["--t", "0.5", "--s", "0.5", "--apply", str(ffile)]}
+        assert cli.main([command, "--config", cfg, *extra.get(command, [])]) == 3
+        assert "no interior grid point" in assert_config_error(capsys)
+
     @pytest.mark.parametrize("case", list(NON_FINITE_CONFIGS))
     def test_non_finite_number_exits_3(self, tmp_path, capsys, case):
         path = tmp_path / "cfg.json"

@@ -11,6 +11,7 @@ from tselliptic.operator import (
 )
 from tselliptic.timescale import (
     EmptyInteriorError,
+    Grid,
     GridFunction,
     GridMismatchError,
     MeshParams,
@@ -41,8 +42,9 @@ class TestAssemble:
         assert op.diag[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_rejects_no_interior(self):
+        # discretize refuses such a grid first; a hand-built one reaches assemble
         with pytest.raises(EmptyInteriorError):
-            assemble(discretize(TimeScale.parse("[0,1]"), MeshParams(counts=(2,))))
+            assemble(Grid([0.0, 1.0], TimeScale.parse("[0,1]")))
 
     def test_weighted_matrix_symmetric(self, rng):
         # mu_i * sup_i equals mu_{i+1} * sub_{i+1}, both -1/mu_i
@@ -85,6 +87,11 @@ class TestApply:
         op = assemble(G4)
         with pytest.raises(ValueError):
             apply(op, GridFunction(G4, [0.1, 0.0, 0.0, 0.0]))
+
+    def test_nan_boundary_rejected(self):
+        # boundary_max is NaN, and NaN > tolerance is false
+        with pytest.raises(ValueError, match="boundary values must vanish"):
+            apply(assemble(G4), GridFunction(G4, [np.nan, 1.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("route", [apply, green_inverse])
     def test_other_grid_rejected(self, route):

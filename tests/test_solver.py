@@ -482,6 +482,11 @@ class TestResidual:
         u = ProductGridFunction((p.grids[0],), spec.phis[0])
         assert residual(p, u) <= 1e-9
 
+    def test_nan_boundary_rejected(self):
+        p = make_problem(["0,1,2,3"], "u")
+        with pytest.raises(ValueError, match="residual requires zero boundary values"):
+            residual(p, GridFunction(p.grids, [np.nan, 1.0, 1.0, 0.0]))
+
 
 class TestAprioriRadius:
     def test_zero_bound(self):

@@ -29,11 +29,31 @@ from tselliptic.timescale import (
     product_delta_inner,
 )
 
-from conftest import random_dirichlet, random_grid
+from conftest import random_dirichlet, random_grid, random_timescale
 
 
 DISCRETE = TimeScale.parse("0,1,2,3")
 HYBRID = TimeScale.parse("[0,1],2,3")
+
+
+def oracle_member(ts, t):
+    return any(
+        s.lo <= t <= s.hi if isinstance(s, Interval) else t == s.t for s in ts.segments
+    )
+
+
+def oracle_sigma(ts, t):
+    """inf{s in T : s > t}, and b at b."""
+    if any(isinstance(s, Interval) and s.lo <= t < s.hi for s in ts.segments):
+        return t
+    return min((s.min for s in ts.segments if s.min > t), default=ts.b)
+
+
+def oracle_rho(ts, t):
+    """sup{s in T : s < t}, and a at a."""
+    if any(isinstance(s, Interval) and s.lo < t <= s.hi for s in ts.segments):
+        return t
+    return max((s.max for s in ts.segments if s.max < t), default=ts.a)
 
 
 class TestJumpOperators:
@@ -73,6 +93,26 @@ class TestJumpOperators:
         rho = [HYBRID.rho(t) for t in pts]
         assert sig == sorted(sig)
         assert rho == sorted(rho)
+
+    def test_random_scales_match_definitions(self, rng):
+        # 0,[1,2],3 has a point followed by an interval: rho(1) = 0, sigma(1) = 1
+        scales = [TimeScale.parse("0,[1,2],3")] + [random_timescale(rng) for _ in range(200)]
+        for ts in scales:
+            ends = [e for s in ts.segments for e in (s.min, s.max)]
+            grid = discretize(ts, MeshParams(h=0.37)).points.tolist()
+            near = [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)]
+            others = rng.uniform(ts.a - 1.0, ts.b + 1.0, 20).tolist()
+            for t in ends + grid + near + others:
+                member = oracle_member(ts, t)
+                assert (t in ts) == member
+                if member:
+                    assert ts.sigma(t) == oracle_sigma(ts, t)
+                    assert ts.rho(t) == oracle_rho(ts, t)
+                else:
+                    with pytest.raises(DomainError):
+                        ts.sigma(t)
+                    with pytest.raises(DomainError):
+                        ts.rho(t)
 
 
 class TestLiteralParsing:
@@ -117,8 +157,14 @@ class TestDiscretize:
         assert 0.1 in g.points and 0.7 in g.points and 2.0 in g.points
 
     def test_empty_interior_rejected(self):
-        with pytest.raises(EmptyInteriorError):
-            discretize(TimeScale.parse("0,1"))
+        # two isolated points, or one interval meshed as its two ends
+        for text, mesh in (
+            ("0,1", None),
+            ("[0,1]", MeshParams(h=2)),
+            ("[0,1]", MeshParams(counts=(2,))),
+        ):
+            with pytest.raises(EmptyInteriorError):
+                discretize(TimeScale.parse(text), mesh)
 
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
