@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import operator as op_mod
 from .timescale import (
@@ -160,6 +159,65 @@ def shoot(ts: TimeScale, lam: float) -> float:
     return y
 
 
+def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, Prentice-Hall 1973, ch. 4).
+
+    A step-for-step port of scipy's ``brentq.c``, so roots are bit-identical
+    to ``scipy.optimize.brentq`` at the same tolerances: it stops when half
+    the bracket is below delta = (xtol + rtol*|x|)/2.  Like ``brentq``, it
+    raises ValueError on a bracket without a sign change or a NaN value of
+    f, and RuntimeError after 100 iterations without convergence.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):  # a zero fcur returns below either way
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflowed slope; C's inf or nan step bisects too
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def eigen_shooting(ts: TimeScale, k: int) -> np.ndarray:
     """First k eigenvalues of the exact time scale by root scanning.
 
@@ -188,9 +246,7 @@ def eigen_shooting(ts: TimeScale, k: int) -> np.ndarray:
         elif f_prev == 0.0:
             root = lam
         elif (f_prev < 0) != (f_next < 0):
-            root = brentq(
-                lambda x: shoot(ts, x), lam, nxt, rtol=1e-13, xtol=1e-14
-            )
+            root = _brent_root(lambda x: shoot(ts, x), lam, nxt, xtol=1e-14, rtol=1e-13)
         if root is not None:
             roots.append(root)
             lam = root + max(1e-9, 1e-7 * root)

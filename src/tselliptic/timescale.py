@@ -140,7 +140,7 @@ class TimeScale:
 
     def _require_member(self, t: float) -> None:
         if t not in self:
-            raise DomainError(f"{t} is not in the time scale {self}")
+            raise DomainError(f"{t} is not in the time scale {self._brief()}")
 
     def sigma(self, t: float) -> float:
         """Forward jump: the nearest scale point strictly right of t (or t)."""
@@ -168,6 +168,15 @@ class TimeScale:
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.segments)
+
+    def _brief(self) -> str:
+        """The literal for messages, in bounded length: a scale of more than
+        five segments shows its first three, "...", its last and the count."""
+        segs = self.segments
+        if len(segs) <= 5:
+            return str(self)
+        head = ",".join(str(s) for s in segs[:3])
+        return f"{head},...,{segs[-1]} ({len(segs)} segments)"
 
     @staticmethod
     def parse(text: str) -> "TimeScale":
@@ -351,10 +360,12 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     counts = [mesh.subintervals(seg.hi - seg.lo, i) for i, seg in enumerate(intervals)]
     n_points = sum(counts) + len(ts.segments)
     if n_points < 3:
-        raise EmptyInteriorError(f"time scale {ts} has no interior grid point at this mesh")
+        raise EmptyInteriorError(
+            f"time scale {ts._brief()} has no interior grid point at this mesh"
+        )
     if n_points > MAX_AXIS_POINTS:
         raise ValueError(
-            f"{ts} needs {n_points} grid points at this mesh; "
+            f"{ts._brief()} needs {n_points} grid points at this mesh; "
             f"an axis holds at most {MAX_AXIS_POINTS}"
         )
     steps = iter(counts)

@@ -35,10 +35,7 @@ def random_timescale(rng: np.random.Generator, discrete_only: bool = False) -> T
 def random_grid(rng: np.random.Generator, discrete_only: bool = False) -> Grid:
     ts = random_timescale(rng, discrete_only=discrete_only)
     n = int(rng.integers(3, 9))
-    grid = discretize(ts, MeshParams(counts=(n + 1,) * len(ts.segments)))
-    if grid.n_interior < 1:
-        return random_grid(rng, discrete_only=discrete_only)
-    return grid
+    return discretize(ts, MeshParams(counts=(n + 1,) * len(ts.segments)))
 
 
 def random_dirichlet(rng: np.random.Generator, grid: Grid) -> GridFunction:

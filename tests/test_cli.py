@@ -4,6 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -742,6 +746,16 @@ class TestConfigSchema:
         assert cli.main(["spectrum", "--config", cfg, "--h", "1e-12"]) == 3
         assert f"at most {MAX_AXIS_POINTS}" in assert_config_error(capsys)
 
+    def test_many_segment_scale_named_briefly(self, tmp_path, capsys):
+        # 1,999 segments over the budget at h = 1e-4: the message names the
+        # scale by its first segments, its last and the count
+        axis = "[0,1]," + ",".join(str(t) for t in range(2, 2000))
+        cfg = write_config(tmp_path, axes=[axis], mesh={"h": 1e-4})
+        assert cli.main(["spectrum", "--config", cfg]) == 3
+        err = assert_config_error(capsys)
+        assert len(err.encode()) < 300
+        assert "[0,1]" in err and "1999" in err
+
     def test_product_grid_budget(self, tmp_path, capsys):
         # two full axes fill the budget; a third axis of 3 points exceeds it
         at_budget = {"axes": ["[0,1]", "[0,1]"], "mesh": {"h": 1e-4}}
@@ -820,3 +834,23 @@ def test_fuzz_wrong_json_type_at_any_key(tmp_path_factory, data):
     assert code == 3, captured.getvalue()
     assert captured.getvalue().count("\n") == 1
     assert "Traceback" not in captured.getvalue()
+
+
+# the import check of .github/workflows/tier1.yml: scipy.optimize costs about
+# 0.2 s of every process start, and no module of the package needs it
+NO_OPTIMIZE_AT_START = (
+    "import sys, tselliptic, tselliptic.cli; "
+    "sys.exit('scipy.optimize' in sys.modules and 'tselliptic imports scipy.optimize')"
+)
+
+
+def test_start_up_leaves_scipy_optimize_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_OPTIMIZE_AT_START],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

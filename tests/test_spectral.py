@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from tselliptic import spectral
 from tselliptic.operator import apply, assemble
 from tselliptic.spectral import (
     InsufficientRootsError,
@@ -229,6 +231,75 @@ class TestEigenShooting:
             lams = eigen_shooting(ts, s.count)
             scale = np.abs(s.eigenvalues).max()
             assert np.abs(lams - s.eigenvalues).max() <= 1e-10 * scale
+
+
+def step_at_tenth(x):
+    """Discontinuous at 0.1, so Brent's method only bisects towards it."""
+    return 1.0 if x > 0.1 else -1.0
+
+
+class TestBrentRoot:
+    """The root polish of eigen_shooting against scipy.optimize.brentq."""
+
+    @staticmethod
+    def four_roots(ts):
+        try:
+            return eigen_shooting(ts, 4).tobytes()
+        except InsufficientRootsError as err:
+            return str(err)
+
+    def test_eigen_shooting_bit_identical_to_brentq(self, rng, monkeypatch):
+        fixed = ["[0,1],2,3", "0,0.5,1,2,3,[4,5]", "[0,1]", "[0,1],2", "0,1,2,3"]
+        scales = [TimeScale.parse(s) for s in fixed]
+        scales += [random_timescale(rng) for _ in range(200)]
+        ours = [self.four_roots(ts) for ts in scales]
+        monkeypatch.setattr(
+            spectral,
+            "_brent_root",
+            lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol),
+        )
+        assert [self.four_roots(ts) for ts in scales] == ours
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 1e3, 0.0, 10.0),
+            (lambda x: math.atan(50.0 * (x - 0.123)), 0.0, 2.5),
+            (step_at_tenth, -1.0, 1.0),
+            # at xtol = 1e-14, rtol = 1e-13 the bisection from a width of 2**53
+            # converges at the 100th iteration, the last one allowed
+            (step_at_tenth, -(2.0**52), 2.0**52),
+            # slopes near 1e-200, whose products underflow to a zero divisor
+            (lambda x: 1e-200 * (x**3 - 0.1), 0.0, 1.0),
+        ],
+        ids=[
+            "cubic", "cos", "exp", "steep-atan", "step", "step-100-iterations",
+            "underflowing-slopes",
+        ],
+    )
+    @pytest.mark.parametrize("xtol, rtol", [(1e-14, 1e-13), (2e-12, 8.9e-16), (1e-3, 1e-6)])
+    def test_roots_bit_identical_to_brentq(self, f, a, b, xtol, rtol):
+        root = spectral._brent_root(f, a, b, xtol=xtol, rtol=rtol)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize(
+        "f, a, b, error",
+        [
+            (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+            (lambda x: math.nan if x < 0 else x - 0.5, -1.0, 1.0, ValueError),
+            # one halving more than the 2**52 bracket above: 101 iterations
+            (step_at_tenth, -(2.0**53), 2.0**53, RuntimeError),
+        ],
+        ids=["same-sign-bracket", "nan-value", "iteration-cap"],
+    )
+    def test_refusals_match_brentq(self, f, a, b, error):
+        with pytest.raises(error) as ours:
+            spectral._brent_root(f, a, b, xtol=1e-14, rtol=1e-13)
+        with pytest.raises(error) as ref:
+            brentq(f, a, b, xtol=1e-14, rtol=1e-13)
+        assert str(ours.value) == str(ref.value)
 
 
 class TestMeshConvergence:
