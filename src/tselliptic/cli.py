@@ -70,25 +70,32 @@ class ConfigError(ValueError):
     pass
 
 
-def check_config(value, spec=SCHEMA, where: str = "config") -> None:
-    """Raise ConfigError at the first value of another JSON type than
-    ``spec`` asks for, at the first key that it does not name, or at the
-    first NaN or infinity (``json`` reads NaN, Infinity and 1e999)."""
+def check_config(value, spec=SCHEMA, where: str = "config"):
+    """``value`` with its numbers as floats.  Raise ConfigError at the first
+    value of another JSON type than ``spec`` asks for, at the first key that
+    it does not name, or at a number that no finite double holds."""
     kind = type(spec) if isinstance(spec, (dict, list)) else spec
     kinds, name = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
         raise ConfigError(f"{where} must be {name}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # json reads integers of any size
+            value = math.inf
+        if not math.isfinite(value):  # and NaN, Infinity and 1e999
+            raise ConfigError(f"{where} must be finite, got {json.dumps(value)}")
     if kind is dict:
+        checked = {}
         for key, item in value.items():
             if key not in spec and str not in spec:
                 raise ConfigError(f"unknown key {key!r} in {where}")
             path = key if where == "config" else f"{where}.{key}"
-            check_config(item, spec.get(key, spec.get(str)), path)
-    elif kind is list:
-        for i, item in enumerate(value):
-            check_config(item, spec[0], f"{where}[{i}]")
+            checked[key] = check_config(item, spec.get(key, spec.get(str)), path)
+        return checked
+    if kind is list:
+        return [check_config(item, spec[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -102,7 +109,7 @@ def load_config(path: str) -> dict:
 def build_problem(cfg: dict, h_override: float | None = None) -> tuple[sv.Problem, str]:
     """Check a config against SCHEMA and translate it into a Problem;
     returns (problem, method)."""
-    check_config(cfg)
+    cfg = check_config(cfg)
     if "axes" not in cfg:
         raise ConfigError("config needs 'axes': a list of time-scale literals")
     mesh, hyp = cfg.get("mesh", {}), cfg.get("hypotheses", {})
@@ -350,7 +357,7 @@ def cmd_greens(args) -> int:
     for name, v in (("t", args.t), ("s", args.s)):
         if not ts.a <= v <= ts.b:
             raise ConfigError(f"{name} = {v:g} is outside [{ts.a:g}, {ts.b:g}]")
-    outdir, _ = _resolve_output(args, cfg)
+    outdir, fmt = _resolve_output(args, cfg)
     kernel = op_mod.GreenKernel(ts.a, ts.b)
     value = float(kernel(args.t, args.s))
     print(f"G({args.t:g},{args.s:g}) = {value:.17g}")
@@ -359,10 +366,12 @@ def cmd_greens(args) -> int:
         op = problem.operators[0]
         f = _read_function_file(args.apply, grid)
         y = GridFunction.from_interior(grid, op_mod.tridiag_solve(op, f.interior))
-        if outdir is not None:
-            _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
-        else:
+        if outdir is None:
             sys.stdout.writelines(_csv_rows([grid.points, y.values], "\n"))
+        elif fmt == "json":
+            _write_solution(outdir, "inverse", y, fmt)
+        else:
+            _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
     return EXIT_OK
 
 

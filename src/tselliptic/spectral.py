@@ -8,7 +8,7 @@ Two independent routes to the eigenvalues:
 * the *shooting* route propagates the initial value problem y(a) = 0,
   y' = 1 across the exact time scale in closed form (trig on intervals, a
   two-term recurrence over scattered gaps), so its roots carry no mesh
-  error at all.
+  error at all; the zeros of its solution count the eigenvalues below lambda.
 
 Agreement of the two certifies the mesh; disagreement measures it.
 Product-domain eigenvalues are sums of per-axis ones and are enumerated
@@ -41,7 +41,7 @@ SMALL_LAMBDA = 1e-8
 
 
 class InsufficientRootsError(RuntimeError):
-    """The eigenvalue scan found fewer roots than requested."""
+    """Fewer eigenvalues than requested lie below the search cap."""
 
     def __init__(self, found: int, requested: int, scanned_up_to: float):
         self.found = found
@@ -136,6 +136,48 @@ def _propagate_interval(y: float, v: float, tau: float, lam: float) -> tuple[flo
     return y * c + v * s, -lam * s * y + v * c
 
 
+def _half_turns(y: float, theta: float) -> int:
+    """floor(theta / pi) for theta = atan2(c y, v), c > 0, by y's sign."""
+    return 0 if y > 0 else -1 if y < 0 else math.floor(theta / math.pi)
+
+
+def _walk(ts: TimeScale, lam: float) -> tuple[float, int]:
+    """:func:`shoot`'s value, and the number of generalized zeros of y in
+    (a, b]: the number of eigenvalues at most lam (oscillation theorem;
+    Agarwal, Bohner & Wong, *Appl. Math. Comput.* 99, 1999).
+
+    In an interval the Prüfer angle atan2(sqrt(lam) y, y') grows by sqrt(lam)
+    per unit length and passes a multiple of pi at each zero; across a gap,
+    a sign change of y or y = 0 at the far end is one.  (y, y') is rescaled
+    by exact powers of two: the value is the unscaled one where that is
+    finite, and +-inf past overflow.
+    """
+    y, v, exp, zeros = 0.0, 1.0, 0, 0
+    r = math.sqrt(lam) if lam > 0 else 0.0
+    segments = ts.segments
+    for i, seg in enumerate(segments):
+        t = seg.max
+        if seg.min < t:  # a point has no length to cross
+            y0, theta0 = y, math.atan2(r * y, v)
+            y, v = _propagate_interval(y, v, t - seg.min, lam)
+            if lam > 0:
+                theta = math.atan2(r * y, v)
+                turns = round((theta0 + r * (t - seg.min) - theta) / (2 * math.pi))
+                zeros += 2 * turns + _half_turns(y, theta) - _half_turns(y0, theta0)
+        if i + 1 < len(segments):
+            gap = segments[i + 1].min - t
+            if t != ts.a:
+                v = v - gap * lam * y
+            y0, y = y, y + gap * v
+            zeros += y == 0 or y < 0 < y0 or y0 < 0 < y
+        if abs(y) + abs(v) > 2.0**512:
+            y, v, exp = y * 2.0**-512, v * 2.0**-512, exp + 512
+    try:
+        return math.ldexp(y, exp), zeros
+    except OverflowError:
+        return math.copysign(math.inf, y), zeros
+
+
 def shoot(ts: TimeScale, lam: float) -> float:
     """Value at b of the solution with y(a) = 0 and unit initial slope.
 
@@ -145,121 +187,30 @@ def shoot(ts: TimeScale, lam: float) -> float:
     v <- v - mu * lam * y followed by y <- y + mu * v, which is the dynamic
     equation itself, so no mesh enters.
     """
-    y, v = 0.0, 1.0
-    segments = ts.segments
-    for i, seg in enumerate(segments):
-        t = seg.max
-        if seg.min < t:  # a point has no length to cross
-            y, v = _propagate_interval(y, v, t - seg.min, lam)
-        if i + 1 < len(segments):
-            gap = segments[i + 1].min - t
-            if t != ts.a:
-                v = v - gap * lam * y
-            y = y + gap * v
-    return y
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (R. P. Brent, *Algorithms for
-    Minimization without Derivatives*, Prentice-Hall 1973, ch. 4).
-
-    A step-for-step port of scipy's ``brentq.c``, so roots are bit-identical
-    to ``scipy.optimize.brentq`` at the same tolerances: it stops when half
-    the bracket is below delta = (xtol + rtol*|x|)/2.  Like ``brentq``, it
-    raises ValueError on a bracket without a sign change or a NaN value of
-    f, and RuntimeError after 100 iterations without convergence.
-    """
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if (fpre < 0) != (fcur < 0):  # a zero fcur returns below either way
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # an underflowed slope; C's inf or nan step bisects too
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+    return _walk(ts, lam)[0]
 
 
 def eigen_shooting(ts: TimeScale, k: int) -> np.ndarray:
-    """First k eigenvalues of the exact time scale by root scanning.
+    """First k eigenvalues of the exact time scale.
 
-    Scans lambda upward from half the lower bound 4/(b-a)^2, brackets each
-    sign change, and polishes with Brent's method to relative tolerance
-    well below 1e-10.  Eigenvalues are simple, so every root shows up as a
-    sign change.
+    An upper bound doubles from :func:`lambda1_lower_bound` until the zero
+    count of :func:`_walk` reaches k (up to max(1e12, 1e9 * bound)); then
+    each eigenvalue is bisected on that count, so none is skipped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lb = 4.0 / (ts.b - ts.a) ** 2
-    lam = 0.5 * lb
-    step = 0.5 * lb
-    f_prev = shoot(ts, lam)
-    roots: list[float] = []
-    probes = 0
-    max_probes = 200_000
-    lam_cap = max(1e12, 1e9 * lb)
-    while len(roots) < k and probes < max_probes and lam < lam_cap:
-        nxt = lam + step
-        f_next = shoot(ts, nxt)
-        probes += 1
-        root = None
-        if f_next == 0.0:
-            root = nxt
-        elif f_prev == 0.0:
-            root = lam
-        elif (f_prev < 0) != (f_next < 0):
-            root = _brent_root(lambda x: shoot(ts, x), lam, nxt, xtol=1e-14, rtol=1e-13)
-        if root is not None:
-            roots.append(root)
-            lam = root + max(1e-9, 1e-7 * root)
-            f_prev = shoot(ts, lam)
-            if len(roots) >= 2:
-                step = 0.25 * (roots[-1] - roots[-2])
-            step = max(step, 1e-6 * root)
-        else:
-            lam, f_prev = nxt, f_next
-            if probes % 50 == 0:
-                step *= 1.5
-    if len(roots) < k:
-        raise InsufficientRootsError(len(roots), k, lam)
+    hi = lb = lambda1_lower_bound(ts)
+    while (found := _walk(ts, hi)[1]) < k:
+        if hi >= max(1e12, 1e9 * lb):
+            raise InsufficientRootsError(found, k, hi)
+        hi *= 2
+    top, lo, roots = hi, 0.0, []
+    for j in range(1, k + 1):
+        hi = top
+        while hi - lo > 1e-14 + 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _walk(ts, mid)[1] >= j else (mid, hi)
+        roots.append(0.5 * (lo + hi))
     return np.array(roots)
 
 

@@ -407,6 +407,21 @@ class TestGreens:
         assert np.array_equal(rows[:, 0], points)
         assert rows[0, 1] == rows[-1, 1] == 0.0 and (rows[1:-1, 1] > 0).all()
 
+    def test_apply_json_out(self, tmp_path):
+        # inverse.json in solution.json's layout, with the values of inverse.csv
+        cfg = write_config(tmp_path, axes=["[0,1],2,3"], mesh={"h": 0.25})
+        points = discretize(TimeScale.parse("[0,1],2,3"), MeshParams(h=0.25)).points
+        ffile = tmp_path / "rhs.csv"
+        ffile.write_text("t,value\n" + "".join(f"{t!r},1\n" for t in points.tolist()))
+        argv = ["greens", "--config", cfg, "--t", "1", "--s", "1", "--apply", str(ffile)]
+        assert cli.main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / "csv")]) == 0
+        assert [p.name for p in (tmp_path / "json").iterdir()] == ["inverse.json"]
+        payload = json.loads((tmp_path / "json" / "inverse.json").read_text())
+        rows = list(csv.reader(open(tmp_path / "csv" / "inverse.csv", newline="")))
+        assert payload["axes"] == [points.tolist()]
+        assert payload["values"] == [float(y) for _, y in rows[1:]]
+
     def test_rejects_2d(self, tmp_path):
         cfg = write_config(tmp_path, axes=["0,1,2,3", "0,1,2,3"])
         assert cli.main(["greens", "--config", cfg, "--t", "1", "--s", "1"]) == 3
@@ -834,6 +849,31 @@ def test_fuzz_wrong_json_type_at_any_key(tmp_path_factory, data):
     assert code == 3, captured.getvalue()
     assert captured.getvalue().count("\n") == 1
     assert "Traceback" not in captured.getvalue()
+
+
+NUMBER_FIELDS = [".".join(path) for path, spec in schema_paths() if spec is float]
+
+
+@pytest.mark.parametrize("digits", [20, 400])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_huge_integer_at_any_number_field(tmp_path, capsys, field, digits):
+    """JSON reads an integer of any size: 10**20 is a double like any other,
+    and 10**400, beyond double range, exits 3 with one line."""
+    cfg = {
+        "axes": ["0,1,2,3"], "f": "a*u", "params": {"a": 0.5}, "hypotheses": {"L": 0.5},
+        "solver": {"method": "enumerate" if field == "solver.box" else "picard"},
+    }
+    section, key = field.split(".")
+    cfg.setdefault(section, {})[key] = "HUGE"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"HUGE"', str(10**digits)))
+    code = cli.main(["solve", "--config", str(path)])
+    if digits == 400:
+        assert code == 3
+        assert "must be finite" in assert_config_error(capsys)
+    else:
+        assert code in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
 
 
 # the import check of .github/workflows/tier1.yml: scipy.optimize costs about

@@ -199,6 +199,26 @@ class TestShoot:
         for lam in (-4.0, -0.5, 0.0):
             assert shoot(CONT, lam) > 0.0
 
+    def test_rescaling_is_exact(self):
+        # (y, y') is rescaled past 2**512; the unscaled recurrence, finite
+        # here below 1e308, gives the same value bit for bit
+        ts = TimeScale.parse(",".join(str(t) for t in range(21)))
+        for lam in (1e12, 1e14, 1e15):
+            y, v = 0.0, 1.0
+            for _ in range(20):
+                v, y = v - lam * y, y + (v - lam * y)
+            assert abs(y) > 2.0**512
+            assert shoot(ts, lam) == y
+
+    def test_overflow_is_signed_infinity(self):
+        # past 1e308 the value is infinite with the sign of the exact
+        # recurrence, here in integers
+        ts = TimeScale.parse(",".join(str(t) for t in range(31)))
+        lam, y, v = 110_000_000_000, 0, 1
+        for _ in range(30):
+            v, y = v - lam * y, y + (v - lam * y)
+        assert shoot(ts, float(lam)) == (math.inf if y > 0 else -math.inf)
+
 
 class TestEigenShooting:
     def test_continuous_classical(self):
@@ -218,88 +238,73 @@ class TestEigenShooting:
         assert abs(lams[2] - 11.907) <= 1e-3
 
     def test_insufficient_roots(self):
-        with pytest.raises(InsufficientRootsError) as err:
-            eigen_shooting(DISCRETE, 5)
-        assert err.value.found == 2
+        # 0,1,...,30 has 29 eigenvalues, and shoot overflows on the way to
+        # the search cap
+        long_discrete = TimeScale.parse(",".join(str(t) for t in range(31)))
+        for ts, k, found in ((DISCRETE, 5, 2), (long_discrete, 30, 29)):
+            with pytest.raises(InsufficientRootsError) as err:
+                eigen_shooting(ts, k)
+            assert err.value.found == found
 
     def test_matches_matrix_on_discrete(self, rng):
-        # purely discrete scales: the grid is the scale, both routes exact
-        for _ in range(15):
-            ts = random_timescale(rng, discrete_only=True)
+        # purely discrete scales: the grid is the scale, both routes exact;
+        # clustered gaps put eigenvalues close together
+        scales = [random_timescale(rng, discrete_only=True) for _ in range(15)]
+        scales += [clustered_discrete(rng) for _ in range(15)]
+        for ts in scales:
             grid = discretize(ts)
             s = spectrum_1d(grid)
             lams = eigen_shooting(ts, s.count)
             scale = np.abs(s.eigenvalues).max()
             assert np.abs(lams - s.eigenvalues).max() <= 1e-10 * scale
 
+    def test_zero_count_is_eigenvalue_count_on_discrete(self, rng):
+        # the oscillation theorem: the generalized zeros in (a, b] number
+        # the eigenvalues below lambda (Sturm's count for a Jacobi matrix)
+        scales = [random_timescale(rng, discrete_only=True) for _ in range(20)]
+        scales += [clustered_discrete(rng) for _ in range(20)]
+        for ts in scales:
+            ev = spectrum_1d(discretize(ts)).eigenvalues
+            for lam in rng.uniform(0.0, 1.2 * ev.max(), size=10):
+                assert spectral._walk(ts, lam)[1] == np.count_nonzero(ev < lam)
 
-def step_at_tenth(x):
-    """Discontinuous at 0.1, so Brent's method only bisects towards it."""
-    return 1.0 if x > 0.1 else -1.0
+    def test_zero_count_at_exact_zeros(self):
+        # y(2) = 0 on 0,1,2,3 at lambda = 2 counts as a zero, and y(1) on
+        # [0,1],2,3 at lambda = pi^2 is within rounding of a zero: the count
+        # follows the computed sign of y
+        lams = (0.5, 1.0, 2.0, 3.0, 4.0)
+        assert [spectral._walk(DISCRETE, lam)[1] for lam in lams] == [0, 1, 1, 2, 2]
+        assert spectral._walk(HYBRID, math.pi**2)[1] == 2
 
+    def test_close_pair_not_skipped(self):
+        # the 5th and 6th eigenvalues lie 2 % apart
+        ts = TimeScale.parse("[0,1],[2,2.5]")
+        lams = eigen_shooting(ts, 6)
+        ref = spectrum_1d(discretize(ts, MeshParams(h=2e-4)), 6).eigenvalues
+        assert np.abs(lams / ref - 1).max() <= 1e-5
 
-class TestBrentRoot:
-    """The root polish of eigen_shooting against scipy.optimize.brentq."""
-
-    @staticmethod
-    def four_roots(ts):
-        try:
-            return eigen_shooting(ts, 4).tobytes()
-        except InsufficientRootsError as err:
-            return str(err)
-
-    def test_eigen_shooting_bit_identical_to_brentq(self, rng, monkeypatch):
+    def test_roots_are_sign_changes_of_shoot(self, rng):
         fixed = ["[0,1],2,3", "0,0.5,1,2,3,[4,5]", "[0,1]", "[0,1],2", "0,1,2,3"]
         scales = [TimeScale.parse(s) for s in fixed]
         scales += [random_timescale(rng) for _ in range(200)]
-        ours = [self.four_roots(ts) for ts in scales]
-        monkeypatch.setattr(
-            spectral,
-            "_brent_root",
-            lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol),
-        )
-        assert [self.four_roots(ts) for ts in scales] == ours
+        for ts in scales:
+            try:
+                lams = eigen_shooting(ts, 4)
+            except InsufficientRootsError as err:
+                lams = eigen_shooting(ts, err.found)
+            for lam in lams:
+                ref = brentq(
+                    lambda x: shoot(ts, x), 0.999999999 * lam, 1.000000001 * lam,
+                    xtol=1e-16 * lam, rtol=1e-15,
+                )
+                assert abs(lam - ref) <= 2e-13 * lam, (str(ts), lam, ref)
 
-    @pytest.mark.parametrize(
-        "f, a, b",
-        [
-            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-            (lambda x: math.cos(x) - x, 0.0, 1.0),
-            (lambda x: math.exp(x) - 1e3, 0.0, 10.0),
-            (lambda x: math.atan(50.0 * (x - 0.123)), 0.0, 2.5),
-            (step_at_tenth, -1.0, 1.0),
-            # at xtol = 1e-14, rtol = 1e-13 the bisection from a width of 2**53
-            # converges at the 100th iteration, the last one allowed
-            (step_at_tenth, -(2.0**52), 2.0**52),
-            # slopes near 1e-200, whose products underflow to a zero divisor
-            (lambda x: 1e-200 * (x**3 - 0.1), 0.0, 1.0),
-        ],
-        ids=[
-            "cubic", "cos", "exp", "steep-atan", "step", "step-100-iterations",
-            "underflowing-slopes",
-        ],
-    )
-    @pytest.mark.parametrize("xtol, rtol", [(1e-14, 1e-13), (2e-12, 8.9e-16), (1e-3, 1e-6)])
-    def test_roots_bit_identical_to_brentq(self, f, a, b, xtol, rtol):
-        root = spectral._brent_root(f, a, b, xtol=xtol, rtol=rtol)
-        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
 
-    @pytest.mark.parametrize(
-        "f, a, b, error",
-        [
-            (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
-            (lambda x: math.nan if x < 0 else x - 0.5, -1.0, 1.0, ValueError),
-            # one halving more than the 2**52 bracket above: 101 iterations
-            (step_at_tenth, -(2.0**53), 2.0**53, RuntimeError),
-        ],
-        ids=["same-sign-bracket", "nan-value", "iteration-cap"],
-    )
-    def test_refusals_match_brentq(self, f, a, b, error):
-        with pytest.raises(error) as ours:
-            spectral._brent_root(f, a, b, xtol=1e-14, rtol=1e-13)
-        with pytest.raises(error) as ref:
-            brentq(f, a, b, xtol=1e-14, rtol=1e-13)
-        assert str(ours.value) == str(ref.value)
+def clustered_discrete(rng):
+    """Points 0 = t_0 < ... < t_n, 5 <= n <= 25, whose gaps mix four scales."""
+    n = int(rng.integers(5, 26))
+    gaps = rng.choice([1e-3, 1e-2, 0.1, 1.0], size=n) * rng.uniform(0.5, 1.5, size=n)
+    return TimeScale(tuple(Point(float(t)) for t in np.cumsum(np.r_[0.0, gaps])))
 
 
 class TestMeshConvergence:
