@@ -61,10 +61,9 @@ from .timescale import (
     Grid,
     GridFunction,
     GridMismatchError,
-    Interval,
     MeshParams,
-    Point,
     ProductGridFunction,
+    Segment,
     TimeScale,
     delta_derivative,
     delta_integral,

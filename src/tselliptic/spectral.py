@@ -119,21 +119,32 @@ def spectrum_1d(grid: Grid, k: int | None = None) -> Spectrum1D:
 # Shooting route (exact on the time scale)
 
 
-def _propagate_interval(y: float, v: float, tau: float, lam: float) -> tuple[float, float]:
+def _propagate_interval(
+    y: float, v: float, tau: float, lam: float
+) -> tuple[float, float, int]:
     """Advance (y, y') across a continuous stretch of length tau for
-    -y'' = lam * y, in closed form."""
+    -y'' = lam * y, in closed form: the new pair is 2**k times the returned
+    one, and k is 0 unless cosh(sqrt(-lam) tau) overflows."""
     if abs(lam) < SMALL_LAMBDA:
         # series limit of the trig/hyperbolic propagator, smooth through 0
         c = 1.0 - lam * tau**2 / 2.0 + lam**2 * tau**4 / 24.0
         s = tau * (1.0 - lam * tau**2 / 6.0 + lam**2 * tau**4 / 120.0)
-        return y * c + v * s, -lam * s * y + v * c
+        return y * c + v * s, -lam * s * y + v * c, 0
     if lam > 0:
         r = math.sqrt(lam)
         c, s = math.cos(r * tau), math.sin(r * tau) / r
-        return y * c + v * s, -lam * s * y + v * c
+        return y * c + v * s, -lam * s * y + v * c, 0
     r = math.sqrt(-lam)
-    c, s = math.cosh(r * tau), math.sinh(r * tau) / r
-    return y * c + v * s, -lam * s * y + v * c
+    try:
+        c, s = math.cosh(r * tau), math.sinh(r * tau) / r
+    except OverflowError:
+        # past r tau = 710, cosh = sinh = e^(r tau) / 2 = 2^(k + f) in
+        # doubles; 2^k goes to the caller
+        q = r * tau / math.log(2.0) - 1.0
+        k = math.floor(q)
+        m = 2.0 ** (q - k)
+        return m * (y + v / r), m * (r * y + v), k
+    return y * c + v * s, -lam * s * y + v * c, 0
 
 
 def _half_turns(y: float, theta: float) -> int:
@@ -156,16 +167,17 @@ def _walk(ts: TimeScale, lam: float) -> tuple[float, int]:
     r = math.sqrt(lam) if lam > 0 else 0.0
     segments = ts.segments
     for i, seg in enumerate(segments):
-        t = seg.max
-        if seg.min < t:  # a point has no length to cross
+        t = seg.hi
+        if seg.lo < t:  # a point has no length to cross
             y0, theta0 = y, math.atan2(r * y, v)
-            y, v = _propagate_interval(y, v, t - seg.min, lam)
+            y, v, k = _propagate_interval(y, v, t - seg.lo, lam)
+            exp += k
             if lam > 0:
                 theta = math.atan2(r * y, v)
-                turns = round((theta0 + r * (t - seg.min) - theta) / (2 * math.pi))
+                turns = round((theta0 + r * (t - seg.lo) - theta) / (2 * math.pi))
                 zeros += 2 * turns + _half_turns(y, theta) - _half_turns(y0, theta0)
         if i + 1 < len(segments):
-            gap = segments[i + 1].min - t
+            gap = segments[i + 1].lo - t
             if t != ts.a:
                 v = v - gap * lam * y
             y0, y = y, y + gap * v

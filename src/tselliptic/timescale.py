@@ -1,9 +1,10 @@
 """Bounded time scales, their jump operators, and calculus on grids.
 
-A time scale here is a finite union of closed intervals and isolated
-points.  ``discretize`` turns one into a computational :class:`Grid` by
-subdividing each interval uniformly; the grid is itself a time scale, so
-every calculus identity below holds on it exactly (not just in the limit).
+A time scale here is a finite union of closed segments [lo, hi]: an
+interval when lo < hi, an isolated point when lo == hi.  ``discretize``
+turns one into a computational :class:`Grid` by subdividing each interval
+uniformly; the grid is itself a time scale, so every calculus identity
+below holds on it exactly (not just in the limit).
 
 The delta measure assigns each grid point its forward gap, which makes
 ``delta_integral`` a plain weighted sum.  The inner product of grid
@@ -19,7 +20,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,53 +45,23 @@ class GridMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with positive length."""
+class Segment:
+    """Closed segment [lo, hi] of the real line: an interval when lo < hi,
+    an isolated point when lo == hi."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def min(self) -> float:
-        return self.lo
-
-    @property
-    def max(self) -> float:
-        return self.hi
+            raise ValueError("segment ends must be finite")
+        if not self.lo <= self.hi:
+            raise ValueError(f"segment needs lo <= hi, got {self.lo}, {self.hi}")
 
     def __str__(self) -> str:
+        if self.lo == self.hi:
+            return _fmt(self.lo)
         return f"[{_fmt(self.lo)},{_fmt(self.hi)}]"
-
-
-@dataclass(frozen=True)
-class Point:
-    """A single isolated point."""
-
-    t: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError("point must be finite")
-
-    @property
-    def min(self) -> float:
-        return self.t
-
-    @property
-    def max(self) -> float:
-        return self.t
-
-    def __str__(self) -> str:
-        return _fmt(self.t)
-
-
-Segment = Union[Interval, Point]
 
 
 def _fmt(x: float) -> str:
@@ -114,7 +85,7 @@ class TimeScale:
             raise ValueError("time scale needs at least one segment")
         object.__setattr__(self, "segments", segs)
         for prev, cur in zip(segs, segs[1:]):
-            if not prev.max < cur.min:
+            if not prev.hi < cur.lo:
                 raise ValueError(
                     f"segments must be separated by positive gaps: "
                     f"{prev} then {cur}"
@@ -124,19 +95,14 @@ class TimeScale:
 
     @property
     def a(self) -> float:
-        return self.segments[0].min
+        return self.segments[0].lo
 
     @property
     def b(self) -> float:
-        return self.segments[-1].max
+        return self.segments[-1].hi
 
     def __contains__(self, t: float) -> bool:
-        return any(s.min <= t <= s.max for s in self.segments)
-
-    def has_interior(self) -> bool:
-        """Whether (a, b) intersected with the scale is nonempty."""
-        first, last = self.segments[0], self.segments[-1]
-        return len(self.segments) > 2 or first.min < first.max or last.min < last.max
+        return any(s.lo <= t <= s.hi for s in self.segments)
 
     def _require_member(self, t: float) -> None:
         if t not in self:
@@ -146,16 +112,16 @@ class TimeScale:
         """Forward jump: the nearest scale point strictly right of t (or t)."""
         self._require_member(t)
         for s, nxt in zip(self.segments, self.segments[1:]):
-            if s.min <= t <= s.max:
-                return t if t < s.max else nxt.min
+            if s.lo <= t <= s.hi:
+                return t if t < s.hi else nxt.lo
         return t  # right-dense in the last segment, or b
 
     def rho(self, t: float) -> float:
         """Backward jump: the nearest scale point strictly left of t (or t)."""
         self._require_member(t)
         for prev, s in zip(self.segments, self.segments[1:]):
-            if s.min <= t <= s.max:
-                return t if s.min < t else prev.max
+            if s.lo <= t <= s.hi:
+                return t if s.lo < t else prev.hi
         return t  # left-dense in the first segment, or a
 
     def mu(self, t: float) -> float:
@@ -182,17 +148,18 @@ class TimeScale:
     def parse(text: str) -> "TimeScale":
         """Parse a time-scale literal such as ``"[0,1],2,3"``.
 
-        The literal is a comma-separated list of segments: ``[lo,hi]`` for a
-        closed interval, a bare number for an isolated point.  Whitespace is
-        insignificant.
+        The literal is a comma-separated list of segments: ``[lo,hi]`` with
+        lo < hi for a closed interval, a bare number t for the isolated point
+        [t, t].  No segment may be empty, so a leading, doubled or trailing
+        comma is refused.  Whitespace is insignificant.
         """
         s = re.sub(r"\s+", "", text)
         if not s:
             raise ValueError("empty time-scale literal")
         segments: list[Segment] = []
         pos = 0
-        while pos < len(s):
-            if s[pos] == "[":
+        while True:
+            if s.startswith("[", pos):
                 end = s.find("]", pos)
                 if end < 0:
                     raise ValueError(f"unclosed '[' at offset {pos} in {text!r}")
@@ -200,19 +167,24 @@ class TimeScale:
                 parts = body.split(",")
                 if len(parts) != 2:
                     raise ValueError(f"interval needs two endpoints: [{body}]")
-                segments.append(Interval(_num(parts[0]), _num(parts[1])))
+                lo, hi = _num(parts[0]), _num(parts[1])
+                # lo >= hi with both ends finite; Segment refuses the others
+                if -math.inf < hi <= lo < math.inf:
+                    raise ValueError(f"interval needs lo < hi, got [{body}]")
+                segments.append(Segment(lo, hi))
                 pos = end + 1
             else:
                 end = s.find(",", pos)
                 if end < 0:
                     end = len(s)
-                segments.append(Point(_num(s[pos:end])))
+                t = _num(s[pos:end])
+                segments.append(Segment(t, t))
                 pos = end
-            if pos < len(s):
-                if s[pos] != ",":
-                    raise ValueError(f"expected ',' at offset {pos} in {text!r}")
-                pos += 1
-        return TimeScale(tuple(segments))
+            if pos == len(s):
+                return TimeScale(tuple(segments))
+            if s[pos] != ",":
+                raise ValueError(f"expected ',' at offset {pos} in {text!r}")
+            pos += 1
 
 
 def _num(tok: str) -> float:
@@ -305,9 +277,9 @@ class Grid:
         member = np.zeros(len(pts), dtype=bool)
         dense = np.zeros(len(pts) - 1, dtype=bool)
         for seg in self.source.segments:
-            lo, hi = np.searchsorted(pts, (seg.min, seg.max))  # its ends, if present
-            what = "interval endpoint" if isinstance(seg, Interval) else "isolated point"
-            for end, i in ((seg.min, lo), (seg.max, hi)):
+            lo, hi = np.searchsorted(pts, (seg.lo, seg.hi))  # its ends, if present
+            what = "interval endpoint" if seg.lo < seg.hi else "isolated point"
+            for end, i in ((seg.lo, lo), (seg.hi, hi)):
                 if i == len(pts) or pts[i] != end:
                     raise ValueError(f"{what} {end} missing from grid")
             member[lo : hi + 1] = True
@@ -356,7 +328,7 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     with no interior point raises :class:`EmptyInteriorError`, for every caller.
     """
     mesh = mesh or MeshParams()
-    intervals = [seg for seg in ts.segments if isinstance(seg, Interval)]
+    intervals = [seg for seg in ts.segments if seg.lo < seg.hi]
     counts = [mesh.subintervals(seg.hi - seg.lo, i) for i, seg in enumerate(intervals)]
     n_points = sum(counts) + len(ts.segments)
     if n_points < 3:
@@ -372,8 +344,8 @@ def discretize(ts: TimeScale, mesh: MeshParams | None = None) -> Grid:
     points = np.concatenate(
         [
             np.linspace(seg.lo, seg.hi, next(steps) + 1)
-            if isinstance(seg, Interval)
-            else [seg.t]
+            if seg.lo < seg.hi
+            else [seg.lo]
             for seg in ts.segments
         ]
     )

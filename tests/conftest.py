@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tselliptic.timescale import (
+    EmptyInteriorError,
     Grid,
     GridFunction,
-    Interval,
     MeshParams,
-    Point,
+    Segment,
     TimeScale,
     discretize,
 )
@@ -22,14 +22,17 @@ def random_timescale(rng: np.random.Generator, discrete_only: bool = False) -> T
         for _ in range(int(rng.integers(2, 6))):
             if not discrete_only and rng.random() < 0.4:
                 length = float(rng.uniform(0.3, 2.0))
-                segments.append(Interval(t, t + length))
+                segments.append(Segment(t, t + length))
                 t += length
             else:
-                segments.append(Point(t))
+                segments.append(Segment(t, t))
             t += float(rng.uniform(0.2, 1.5))
         ts = TimeScale(tuple(segments))
-        if ts.has_interior():
-            return ts
+        try:
+            discretize(ts)
+        except EmptyInteriorError:
+            continue  # two isolated points
+        return ts
 
 
 def random_grid(rng: np.random.Generator, discrete_only: bool = False) -> Grid:

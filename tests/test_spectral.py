@@ -21,8 +21,8 @@ from tselliptic.timescale import (
     GridFunction,
     GridMismatchError,
     MeshParams,
-    Point,
     ProductGridFunction,
+    Segment,
     TimeScale,
     discretize,
     product_delta_inner,
@@ -39,7 +39,7 @@ def delta_scheme(ts, h):
     """The grid of ts at step h read as a discrete time scale: same points,
     every gap scattered, so its weights are the delta measure mu."""
     g = discretize(ts, MeshParams(h=h))
-    return discretize(TimeScale(tuple(Point(float(t)) for t in g.points)))
+    return discretize(TimeScale(tuple(Segment(t, t) for t in g.points.tolist())))
 
 
 def char_poly_roots(diag, off):
@@ -219,6 +219,19 @@ class TestShoot:
             v, y = v - lam * y, y + (v - lam * y)
         assert shoot(ts, float(lam)) == (math.inf if y > 0 else -math.inf)
 
+    def test_negative_lambda_past_cosh_overflow(self):
+        # cosh(sqrt(-lam) tau) overflows past sqrt(-lam) tau = 710; on [0, tau]
+        # the value sinh(r tau) / r = e^(r tau) / (2 r) is still finite up to
+        # about r tau = 710 + log(2 r), and +inf beyond
+        for r, tau in ((711.0, 1.0), (7.2e5, 1e-3), (1e9, 7.3e-7)):
+            expected = math.exp(r * tau - math.log(2 * r))
+            got = shoot(TimeScale((Segment(0.0, tau),)), -r * r)
+            assert got == pytest.approx(expected, rel=1e-12)
+        assert shoot(TimeScale.parse("[0,0.36]"), -4e6) == math.inf  # r tau = 720
+        assert shoot(CONT, -1e6) == math.inf
+        assert shoot(TimeScale.parse("[0,1],2,[3,400]"), -1e3) == math.inf
+        assert shoot(CONT, -1.7e308) == math.inf
+
 
 class TestEigenShooting:
     def test_continuous_classical(self):
@@ -304,7 +317,7 @@ def clustered_discrete(rng):
     """Points 0 = t_0 < ... < t_n, 5 <= n <= 25, whose gaps mix four scales."""
     n = int(rng.integers(5, 26))
     gaps = rng.choice([1e-3, 1e-2, 0.1, 1.0], size=n) * rng.uniform(0.5, 1.5, size=n)
-    return TimeScale(tuple(Point(float(t)) for t in np.cumsum(np.r_[0.0, gaps])))
+    return TimeScale(tuple(Segment(t, t) for t in np.cumsum(np.r_[0.0, gaps]).tolist()))
 
 
 class TestMeshConvergence:

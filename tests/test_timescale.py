@@ -16,10 +16,9 @@ from tselliptic.timescale import (
     EmptyInteriorError,
     Grid,
     GridFunction,
-    Interval,
     MeshParams,
-    Point,
     ProductGridFunction,
+    Segment,
     TimeScale,
     delta_derivative,
     delta_integral,
@@ -37,23 +36,21 @@ HYBRID = TimeScale.parse("[0,1],2,3")
 
 
 def oracle_member(ts, t):
-    return any(
-        s.lo <= t <= s.hi if isinstance(s, Interval) else t == s.t for s in ts.segments
-    )
+    return any(s.lo <= t <= s.hi for s in ts.segments)
 
 
 def oracle_sigma(ts, t):
     """inf{s in T : s > t}, and b at b."""
-    if any(isinstance(s, Interval) and s.lo <= t < s.hi for s in ts.segments):
+    if any(s.lo <= t < s.hi for s in ts.segments):
         return t
-    return min((s.min for s in ts.segments if s.min > t), default=ts.b)
+    return min((s.lo for s in ts.segments if s.lo > t), default=ts.b)
 
 
 def oracle_rho(ts, t):
     """sup{s in T : s < t}, and a at a."""
-    if any(isinstance(s, Interval) and s.lo < t <= s.hi for s in ts.segments):
+    if any(s.lo < t <= s.hi for s in ts.segments):
         return t
-    return max((s.max for s in ts.segments if s.max < t), default=ts.a)
+    return max((s.hi for s in ts.segments if s.hi < t), default=ts.a)
 
 
 class TestJumpOperators:
@@ -98,7 +95,7 @@ class TestJumpOperators:
         # 0,[1,2],3 has a point followed by an interval: rho(1) = 0, sigma(1) = 1
         scales = [TimeScale.parse("0,[1,2],3")] + [random_timescale(rng) for _ in range(200)]
         for ts in scales:
-            ends = [e for s in ts.segments for e in (s.min, s.max)]
+            ends = [e for s in ts.segments for e in (s.lo, s.hi)]
             grid = discretize(ts, MeshParams(h=0.37)).points.tolist()
             near = [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)]
             others = rng.uniform(ts.a - 1.0, ts.b + 1.0, 20).tolist()
@@ -127,6 +124,10 @@ class TestLiteralParsing:
     def test_bad_literals(self):
         for text in ("", "[0,1", "[1,0]", "0,0", "[0,1],[1,2]", "a,b"):
             with pytest.raises(ValueError):
+                TimeScale.parse(text)
+        # every segment is nonempty: a leading, doubled or trailing comma
+        for text in (",1,2", "1,,2", "[0,1],", "1,2,", "[0,1],2, "):
+            with pytest.raises(ValueError, match="bad number ''"):
                 TimeScale.parse(text)
 
 
@@ -285,13 +286,17 @@ class TestSummationByParts:
 class TestValidation:
     def test_segments_must_be_separated(self):
         with pytest.raises(ValueError):
-            TimeScale((Interval(0, 1), Interval(1, 2)))
+            TimeScale((Segment(0, 1), Segment(1, 2)))
         with pytest.raises(ValueError):
-            TimeScale((Point(1), Point(1)))
+            TimeScale((Segment(1, 1), Segment(1, 1)))
 
     def test_interval_needs_positive_length(self):
-        with pytest.raises(ValueError):
-            Interval(2, 2)
+        # a segment may be a point, lo == hi, but not reversed; a bracket in
+        # a literal is an interval, so [2,2] is refused there
+        with pytest.raises(ValueError, match="segment needs lo <= hi"):
+            Segment(2, 1)
+        with pytest.raises(ValueError, match=re.escape("interval needs lo < hi, got [2,2]")):
+            TimeScale.parse("[2,2]")
 
     def test_values_length_checked(self):
         g = discretize(DISCRETE)
@@ -323,10 +328,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, fragment",
         [
-            (lambda: Interval(0.0, math.inf), "interval endpoints must be finite"),
-            (lambda: Point(math.nan), "point must be finite"),
+            (lambda: Segment(0.0, math.inf), "segment ends must be finite"),
+            (lambda: Segment(math.nan, math.nan), "segment ends must be finite"),
             (lambda: TimeScale(()), "at least one segment"),
-            (lambda: TimeScale((Point(1.0),)), "more than one point"),
+            (lambda: TimeScale((Segment(1.0, 1.0),)), "more than one point"),
             (lambda: TimeScale.parse("[0,1,2]"), "interval needs two endpoints"),
             (lambda: TimeScale.parse("[0,1]2"), "expected ',' at offset 5"),
             (
