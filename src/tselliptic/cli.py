@@ -236,7 +236,10 @@ def cmd_spectrum(args) -> int:
 
     # the K smallest sums need at most K eigenpairs of each axis
     K = args.k or 8
-    spectra = [sp.spectrum_1d(g, K) for g in problem.grids]
+    try:
+        spectra = [sp.spectrum_1d(g, K) for g in problem.grids]
+    except ValueError as err:  # eigenvalues beyond the doubles
+        raise ConfigError(str(err)) from None
     entries = sp.tensor_spectrum(spectra, K).entries
     lam1 = problem.lambda1  # the value solve reports
 

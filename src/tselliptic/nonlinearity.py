@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .timescale import Grid, GridFunction, GridMismatchError
+from .timescale import Grid, GridFunction, GridMismatchError, _fmt
 
 FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 # Levels an expression may nest: each parenthesis, function call, unary minus
@@ -272,7 +272,7 @@ def to_string(e: Expression) -> str:
 
 def _print(e: Expression, parent_prec: int) -> str:
     if isinstance(e, Const):
-        s = _fmt_num(e.value)
+        s = _fmt(e.value)
         return f"({s})" if e.value < 0 and parent_prec >= 3 else s
     if isinstance(e, Var):
         return e.name
@@ -293,10 +293,6 @@ def _print(e: Expression, parent_prec: int) -> str:
     right = _print(e.right, prec + 1)  # -,/ are left-associative
     s = f"{left} {e.op} {right}"
     return f"({s})" if parent_prec > prec else s
-
-
-def _fmt_num(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
 
 
 # --- evaluation -----------------------------------------------------------

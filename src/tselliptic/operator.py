@@ -56,16 +56,18 @@ class DirichletOperator1D:
 
 
 def assemble(grid: Grid) -> DirichletOperator1D:
-    """Build the Dirichlet operator for a grid (needs >= 1 interior point)."""
+    """Build the Dirichlet operator for a grid (needs >= 1 interior point);
+    an entry past the largest double is inf, which :func:`spectral.spectrum_1d`
+    refuses."""
     if len(grid.points) < 3:
         raise EmptyInteriorError("grid has no interior points")
     mu = grid.mu
     mui = mu[1:]          # forward gap at interior point i = 1..m-1
     nui = mu[:-1]         # backward gap at interior point i
     w = grid.weights[1:-1]
-    diag = 1.0 / (mui * w) + 1.0 / (nui * w)
-    sup = -1.0 / (mui * w)
-    sub = -1.0 / (nui * w)
+    with np.errstate(over="ignore", divide="ignore"):
+        fwd, bwd = 1.0 / (mui * w), 1.0 / (nui * w)
+    diag, sup, sub = fwd + bwd, -fwd, -bwd
     for arr in (diag, sup, sub):
         arr.flags.writeable = False
     return DirichletOperator1D(grid=grid, sub=sub, diag=diag, sup=sup, weight=w)
@@ -106,7 +108,8 @@ class GreenKernel:
         width = self.b - self.a
         lo = np.minimum(t, s)
         hi = np.maximum(t, s)
-        return (lo - self.a) * (self.b - hi) / width
+        # dividing first keeps the product within the doubles at every scale
+        return (lo - self.a) * ((self.b - hi) / width)
 
     @property
     def bound(self) -> float:

@@ -37,11 +37,9 @@ from .timescale import (
     axis_apply,
 )
 
-SMALL_LAMBDA = 1e-8
-
 
 class InsufficientRootsError(RuntimeError):
-    """Fewer eigenvalues than requested lie below the search cap."""
+    """Fewer eigenvalues than requested exist, or lie within the doubles."""
 
     def __init__(self, found: int, requested: int, scanned_up_to: float):
         self.found = found
@@ -97,10 +95,20 @@ class Spectrum1D:
 
 def spectrum_1d(grid: Grid, k: int | None = None) -> Spectrum1D:
     """Matrix-route spectrum of the Dirichlet problem on a grid: the k
-    smallest eigenpairs (all when k is None) of the symmetrized operator."""
+    smallest eigenpairs (all when k is None) of the symmetrized operator;
+    refused where an entry, or an eigenvalue found, leaves the normal doubles."""
     A = op_mod.assemble(grid)
     top = {} if k is None or k >= A.n else {"select": "i", "select_range": (0, k - 1)}
-    w, V = eigh_tridiagonal(A.diag, symmetrize(A), **top)
+    # stebz squares the off-diagonal: the matrix is scaled by a power of two
+    # (exact) to a largest entry in [1/2, 1), and w back; inf past the doubles
+    with np.errstate(over="ignore"):
+        if finite := (big := A.diag.max()) < math.inf:
+            e = math.frexp(big)[1]
+            w, V = eigh_tridiagonal(np.ldexp(A.diag, -e), np.ldexp(symmetrize(A), -e), **top)
+            w = np.ldexp(w, e)
+    if not (finite and np.finfo(float).tiny <= w[0] and w[-1] < math.inf):
+        raise ValueError(f"the operator of {grid.source._brief()} at this mesh "
+                         "has eigenvalues outside the normal doubles")
     phis = np.zeros((len(w), len(grid.points)))
     inner = phis[:, 1:-1]
     np.divide(V.T, np.sqrt(A.weight), out=inner)
@@ -123,13 +131,10 @@ def _propagate_interval(
     y: float, v: float, tau: float, lam: float
 ) -> tuple[float, float, int]:
     """Advance (y, y') across a continuous stretch of length tau for
-    -y'' = lam * y, in closed form: the new pair is 2**k times the returned
-    one, and k is 0 unless cosh(sqrt(-lam) tau) overflows."""
-    if abs(lam) < SMALL_LAMBDA:
-        # series limit of the trig/hyperbolic propagator, smooth through 0
-        c = 1.0 - lam * tau**2 / 2.0 + lam**2 * tau**4 / 24.0
-        s = tau * (1.0 - lam * tau**2 / 6.0 + lam**2 * tau**4 / 120.0)
-        return y * c + v * s, -lam * s * y + v * c, 0
+    -y'' = lam * y, in closed form at every lam: the new pair is 2**k times
+    the returned one, and k is 0 unless cosh(sqrt(-lam) tau) overflows."""
+    if lam == 0:
+        return y + v * tau, v, 0
     if lam > 0:
         r = math.sqrt(lam)
         c, s = math.cos(r * tau), math.sin(r * tau) / r
@@ -203,24 +208,25 @@ def shoot(ts: TimeScale, lam: float) -> float:
 
 
 def eigen_shooting(ts: TimeScale, k: int) -> np.ndarray:
-    """First k eigenvalues of the exact time scale.
-
-    An upper bound doubles from :func:`lambda1_lower_bound` until the zero
-    count of :func:`_walk` reaches k (up to max(1e12, 1e9 * bound)); then
-    each eigenvalue is bisected on that count, so none is skipped.
-    """
+    """First k eigenvalues of the exact time scale, of which a purely discrete
+    one has one per interior point.  An upper bound doubles from a power of
+    two at most 4 / (b - a)**2 until the zero count of :func:`_walk` reaches
+    k, or would overflow; each eigenvalue is bisected on that count, so none
+    is skipped, to 1e-13 relative or to adjacent doubles."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hi = lb = lambda1_lower_bound(ts)
+    if all(seg.lo == seg.hi for seg in ts.segments) and k > len(ts.segments) - 2:
+        raise InsufficientRootsError(len(ts.segments) - 2, k, math.inf)
+    # b - a = m 2**e with m in [1/2, 1), so 2**(2 - 2e) <= 4 / (b - a)**2
+    hi = 2.0 ** min(max(2 - 2 * math.frexp(ts.b - ts.a)[1], -1074), 1023)
     while (found := _walk(ts, hi)[1]) < k:
-        if hi >= max(1e12, 1e9 * lb):
+        if hi * 2 == math.inf:
             raise InsufficientRootsError(found, k, hi)
         hi *= 2
     top, lo, roots = hi, 0.0, []
     for j in range(1, k + 1):
         hi = top
-        while hi - lo > 1e-14 + 1e-13 * hi:
-            mid = 0.5 * (lo + hi)
+        while hi - lo > 1e-13 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (lo, mid) if _walk(ts, mid)[1] >= j else (mid, hi)
         roots.append(0.5 * (lo + hi))
     return np.array(roots)
@@ -313,6 +319,6 @@ def reconstruct(spec: Spectrum1D | TensorSpectrum, c: np.ndarray) -> GridFunctio
 
 
 def lambda1_lower_bound(domain: TimeScale | Sequence[TimeScale]) -> float:
-    """Analytic lower bound: sum over axes of 4 / (b_i - a_i)^2."""
+    """Analytic lower bound: sum over axes of 4 / (b_i - a_i)^2 (0 past the doubles)."""
     axes = [domain] if isinstance(domain, TimeScale) else list(domain)
-    return sum(4.0 / (ts.b - ts.a) ** 2 for ts in axes)
+    return sum(4.0 / ((ts.b - ts.a) * (ts.b - ts.a)) for ts in axes)

@@ -65,7 +65,8 @@ class Segment:
 
 
 def _fmt(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+    """Text that reads back as x; an integral value below 1e15 drops ".0"."""
+    return repr(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class TimeScale:
 
     Segments must be strictly increasing with positive gaps between the
     closure of one and the start of the next, so membership and the jump
-    operators are unambiguous.
+    operators are unambiguous, and b - a must be a finite double.
     """
 
     segments: tuple[Segment, ...]
@@ -92,6 +93,10 @@ class TimeScale:
                 )
         if self.a == self.b:
             raise ValueError("time scale must contain more than one point")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(
+                f"time scale {self._brief()} is longer than the largest double"
+            )
 
     @property
     def a(self) -> float:

@@ -86,6 +86,12 @@ class TestSpectrum:
         assert out.splitlines()[0] == "1,3"
         assert "shooting lambda1 = 1" in out
 
+    def test_shooting_lambda1_on_a_long_interval(self, tmp_path, capsys):
+        # pi^2 / 1e10; the grid value at h = 50 is 2e-7 below it
+        cfg = write_config(tmp_path, axes=["[0,1e5]"], mesh={"h": 50})
+        assert cli.main(["spectrum", "--config", cfg, "--k", "1"]) == 0
+        assert "shooting lambda1 = 9.86960440109e-10\n" in capsys.readouterr().out
+
     def test_hybrid_lambda1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, axes=["[0,1],2,3"], mesh={"h": 1e-3})
         assert cli.main(["spectrum", "--config", cfg, "--k", "1"]) == 0
@@ -654,6 +660,14 @@ NON_FINITE_CONFIGS = {
     "params.a -Infinity": '{"axes": ["0,1,2,3"], "f": "a*u", "params": {"a": -Infinity}}',
 }
 
+# Scales whose grid operator has eigenvalues outside the normal doubles
+# (diagonals of inf and 2e-316), and one longer than the largest double.
+EXTREME_AXES = {
+    "tiny gaps": {"axes": ["0,1e-160,2e-160"]},
+    "vast interval": {"axes": ["[0,1e160]"], "mesh": {"h": 1e158}},
+    "overflowing length": {"axes": ["[-1e308,1e308]"], "mesh": {"h": 1e306}},
+}
+
 
 def assert_config_error(capsys):
     out, err = capsys.readouterr()
@@ -702,6 +716,36 @@ class TestConfigSchema:
         extra = {"greens": ["--t", "0.5", "--s", "0.5", "--apply", str(ffile)]}
         assert cli.main([command, "--config", cfg, *extra.get(command, [])]) == 3
         assert "no interior grid point" in assert_config_error(capsys)
+
+    @pytest.mark.parametrize("command", ["spectrum", "solve"])
+    @pytest.mark.parametrize("case", list(EXTREME_AXES))
+    def test_extreme_scale_exits_3_with_one_short_line(self, tmp_path, capsys, command, case):
+        cfg = write_config(tmp_path, f="1", hypotheses={"L": 0.0}, **EXTREME_AXES[case])
+        assert cli.main([command, "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        # solve meets the spectrum at run time, where its errors read "error: "
+        assert out == "" and err.count("\n") == 1 and "error: " in err
+        assert len(err.encode()) < 200
+
+    def test_extreme_scales_run(self, tmp_path, capsys):
+        # lambda_1 L^2 at the default 8 cells is 9.74341983856 at every L
+        for axis in ("[0,1e-80]", "[0,1e-75]", "[0,1e140]"):
+            cfg = write_config(tmp_path, axes=[axis], f="1", hypotheses={"L": 0.0})
+            assert cli.main(["spectrum", "--config", cfg]) == 0
+            exponent = -2 * int(axis[5:-1])
+            assert f"lambda1 = 9.74341983856e{exponent:+04d}\n" in capsys.readouterr().out
+            if axis != "[0,1e140]":  # there the solver's squared norms overflow
+                assert cli.main(["solve", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize(
+        "axis, t", [("[0,1e-80]", "5e-81"), ("0,1e-160,2e-160", "1e-160"), ("[0,1e160]", "5e159")]
+    )
+    def test_greens_needs_no_spectrum(self, tmp_path, capsys, axis, t):
+        # G(t,t) at the middle of [0,L] is L/4, on scales whose spectrum is refused
+        cfg = write_config(tmp_path, axes=[axis], mesh={"h": 1e158} if "160]" in axis else {})
+        assert cli.main(["greens", "--config", cfg, "--t", t, "--s", t]) == 0
+        value = float(capsys.readouterr().out.split(" = ")[1])
+        assert value == pytest.approx(float(t) / 2, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("case", list(NON_FINITE_CONFIGS))
     def test_non_finite_number_exits_3(self, tmp_path, capsys, case):

@@ -131,6 +131,28 @@ class TestSpectrum1D:
         s = spectrum_1d(g, 1)
         assert s.eigenvalues[0] == pytest.approx(0.840, abs=1e-3)
 
+    def test_scale_free(self):
+        # lambda_k L^2 on [0,L] at the default 8 cells is the same at every
+        # L; stebz squares the off-diagonal, which unscaled overflows below
+        # L = 1e-77 and underflows above L = 1e77 (13x off at L = 1e140)
+        ref = spectrum_1d(discretize(TimeScale.parse("[0,1]")), 3).eigenvalues
+        for length in (1e-150, 1e-80, 1e-6, 1e6, 1e140, 1e150):
+            g = discretize(TimeScale.parse(f"[0,{length!r}]"))
+            for k in (3, None):
+                lams = spectrum_1d(g, k).eigenvalues[:3] * length**2
+                assert np.abs(lams / ref - 1).max() <= 1e-13, (length, k)
+
+    def test_refuses_eigenvalues_beyond_the_doubles(self):
+        # a diagonal of inf (1 / 1e-320); one of 2e-316, so lambda_1 is
+        # subnormal; and lambda_6 of 2.2e308 on [0,1e-153]
+        for text, h, k in (("0,1e-160,2e-160", None, 1), ("[0,1e160]", 1e158, 1),
+                           ("[0,1e-153]", None, 6)):
+            grid = discretize(TimeScale.parse(text), MeshParams(h=h))
+            with pytest.raises(ValueError, match="outside the normal doubles") as err:
+                spectrum_1d(grid, k)
+            assert str(grid.source) in str(err.value)
+        assert spectrum_1d(discretize(TimeScale.parse("[0,1e-153]")), 5).count == 5
+
     def test_count_equals_interior(self, rng):
         for _ in range(10):
             g = random_grid(rng)
@@ -189,11 +211,19 @@ class TestShoot:
         assert shoot(DISCRETE, 2.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_small_lambda_branch_continuous(self):
-        # the series branch matches the trig branch across the switch
+        # the closed form holds at small lambda as well
         for lam in (1e-9, 5e-9, 2e-8):
             got = shoot(CONT, lam)
             expected = math.sin(3 * math.sqrt(lam)) / math.sqrt(lam)
             assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_long_interval_small_lambda(self):
+        # lam tau^2 = 0.01 and 10 on [0,1e5]: no series stands in for the
+        # closed form at small lambda, whatever tau is
+        ts = TimeScale.parse("[0,1e5]")
+        for lam in (1e-12, 1e-9):
+            expected = math.sin(math.sqrt(lam) * 1e5) / math.sqrt(lam)
+            assert shoot(ts, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_lambda_no_zeros(self):
         for lam in (-4.0, -0.5, 0.0):
@@ -251,13 +281,33 @@ class TestEigenShooting:
         assert abs(lams[2] - 11.907) <= 1e-3
 
     def test_insufficient_roots(self):
-        # 0,1,...,30 has 29 eigenvalues, and shoot overflows on the way to
-        # the search cap
+        # 0,1,...,30 has 29 eigenvalues, one per interior point; shoot
+        # overflows long before lambda reaches the top of the doubles
         long_discrete = TimeScale.parse(",".join(str(t) for t in range(31)))
         for ts, k, found in ((DISCRETE, 5, 2), (long_discrete, 30, 29)):
             with pytest.raises(InsufficientRootsError) as err:
                 eigen_shooting(ts, k)
             assert err.value.found == found
+
+    def test_accurate_at_every_length(self):
+        # the Dirichlet spectrum of [0, L] is (k pi / L)^2, from L = 1e-70 to 1e150
+        for length in (1e-70, 1e-6, 1.0, 1e3, 3e4, 1e5, 1e10, 1e100, 1e150):
+            lams = eigen_shooting(TimeScale.parse(f"[0,{length!r}]"), 3)
+            exact = np.array([(k * math.pi / length) ** 2 for k in (1, 2, 3)])
+            assert np.abs(lams / exact - 1).max() <= 1e-12, length
+
+    def test_eigenvalues_below_the_doubles(self):
+        # on [0,1e200] and [0,1e300] every eigenvalue rounds to 0
+        for length in (1e200, 1e300):
+            lams = eigen_shooting(TimeScale.parse(f"[0,{length!r}]"), 3)
+            assert lams.tolist() == [0.0, 0.0, 0.0]
+
+    def test_eigenvalues_above_the_doubles(self):
+        # lambda_1 is about 1e400 on [0,1e-200] and 2e320 on 0,1e-160,2e-160
+        for text in ("[0,1e-200]", "0,1e-160,2e-160"):
+            with pytest.raises(InsufficientRootsError) as err:
+                eigen_shooting(TimeScale.parse(text), 1)
+            assert err.value.found == 0
 
     def test_matches_matrix_on_discrete(self, rng):
         # purely discrete scales: the grid is the scale, both routes exact;
@@ -535,6 +585,10 @@ class TestLowerBound:
         assert lambda1_lower_bound([DISCRETE, DISCRETE]) == pytest.approx(
             8.0 / 9.0, abs=1e-15
         )
+
+    def test_long_axis_bound_is_zero(self):
+        # (b - a)^2 = 1e320 is past the doubles
+        assert lambda1_lower_bound(TimeScale.parse("[0,1e160]")) == 0.0
 
     def test_bound_holds(self):
         assert eigen_shooting(CONT, 1)[0] >= 4.0 / 9.0

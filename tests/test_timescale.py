@@ -114,9 +114,19 @@ class TestJumpOperators:
 
 class TestLiteralParsing:
     def test_roundtrip(self):
-        for text in ("0,1,2,3", "[0,1],2,3", "[0,3]", "5,7,10", "[-1,0],[1,2],3"):
+        for text in ("0,1,2,3", "[0,1],2,3", "[0,3]", "5,7,10", "[-1,0],[1,2],3",
+                     "[1e307,1e308],1.7e308", "[0,1e-300],0.1"):
             ts = TimeScale.parse(text)
             assert TimeScale.parse(str(ts)) == ts
+
+    def test_integral_ends_from_1e15_print_as_floats(self):
+        ts = TimeScale.parse("123456789012345,1e15,1e16,[1e300,1e301]")
+        assert str(ts) == "123456789012345,1000000000000000.0,1e+16,[1e+300,1e+301]"
+
+    def test_length_beyond_the_doubles_refused(self):
+        with pytest.raises(ValueError, match="longer than the largest double") as err:
+            TimeScale.parse("[-1e308,1e308]")
+        assert len(str(err.value)) < 80
 
     def test_whitespace_insignificant(self):
         assert TimeScale.parse(" [0, 1] ,2, 3 ") == HYBRID
