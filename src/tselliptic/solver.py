@@ -21,9 +21,11 @@ Three regimes:
   is below the first eigenvalue; refuses to iterate otherwise.  A forced
   run past the gate may still converge through mixing, and then its
   residual is its only certificate.
-* ``homotopy_solve`` -- continuation u = tau * Ainv(-F(u)) from tau = 0 to
-  1 under the one-sided growth condition, with the a priori norm bound
-  enforced along the path; certifies existence by residual only.
+* ``homotopy_solve`` -- under the one-sided growth condition, one corrector
+  run straight at tau = 1, kept when it converges inside the a priori norm
+  bound; otherwise continuation u = tau * Ainv(-F(u)) from tau = 0 to 1,
+  with the bound enforced along the path; certifies existence by residual
+  only.
 * ``enumerate_small`` -- multi-start Newton enumeration of tiny algebraic
   systems (<= 3 unknowns), the honest fallback when neither hypothesis
   holds.  The starts are the columns of one array; they run in blocks of
@@ -57,9 +59,10 @@ from .timescale import (
 
 
 # Plain fixed-point steps a corrector call takes before Anderson mixing
-# starts.  Mixing keeps ANDERSON_DEPTH + 1 iterates and steps in memory, so
-# it stays off while plain steps converge: on the homotopy-3d benchmark a
-# continuation step takes at most 12 iterations.
+# starts, and the cap of the homotopy's attempt at tau = 1.  Mixing keeps
+# ANDERSON_DEPTH + 1 iterates and steps in memory, so it stays off while
+# plain steps converge: on the homotopy-3d benchmark the attempt converges
+# in 11 to 14 plain steps, and a step of the march takes at most 12.
 PLAIN_STEPS = 50
 ANDERSON_DEPTH = 5
 
@@ -395,12 +398,35 @@ def _fixed_point(problem: Problem, run: _Run, tau: float, cap: int,
         return
 
 
+def _refusal(problem: Problem, run: _Run, limit: str, bound_sq: float) -> str | None:
+    """Why the corrector run at one tau is refused, or None when it converged
+    with the iterate inside the a priori ball ``norm^2 <= bound_sq``."""
+    if run.reason != "converged":
+        return STOP_NOTES[run.reason].format(limit=limit)
+    if (nrm_sq := _norm(problem, run.u) ** 2) > bound_sq:
+        return f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori bound {bound_sq:.6g}"
+    return None
+
+
 def homotopy_solve(problem: Problem) -> Solution:
-    """Continuation in tau for u = tau * Ainv(-F(u)), warm-started.
+    """Solve u = Ainv(-F(u)) by one corrector run at tau = 1, falling back to
+    continuation in tau for u = tau * Ainv(-F(u)), warm-started.
+
+    The attempt runs from u0 at tau = 1 for at most PLAIN_STEPS steps (or
+    ``max_iter``, if smaller) and is kept when it converges to ``step_tol``
+    with the iterate inside the a priori ball, the test the march applies
+    after each of its steps.  Otherwise the march of ``homotopy_steps``
+    equal tau-steps starts again from u0 with the iterations that are left;
+    with ``homotopy_steps == 1`` the march is the attempt, so only the march
+    runs.  ``diagnostics["path"]`` is ``"direct"`` or ``"march"``,
+    ``diagnostics["attempt_iterations"]`` the attempt's steps (counted in
+    ``iterations`` too), and ``diagnostics["attempt_note"]`` why a march
+    replaced the attempt.
 
     Existence is certified only by the final residual; uniqueness is never
     claimed, and the diagnostics flag the risk when L >= lambda_1.  A run
-    that does not converge says why in ``diagnostics["note"]``.
+    that does not converge says why in ``diagnostics["note"]``, and a march
+    that stops gives ``diagnostics["last_good_tau"]``.
     """
     cfg = problem.config
     hyp = problem.hypotheses
@@ -422,7 +448,8 @@ def homotopy_solve(problem: Problem) -> Solution:
             )
     risk = hyp.L is not None and hyp.L >= lam1 * (1.0 - 1e-9)
     diag = {"apriori_radius": radius, "nonuniqueness_risk": risk,
-            "lambda1_lower_bound": problem.lambda1_lower_bound}
+            "lambda1_lower_bound": problem.lambda1_lower_bound,
+            "path": "march", "attempt_iterations": 0}
     bound_sq = 1.1 * radius**2 + 1e-14
     total_iters = 0
     last_good_tau = 0.0
@@ -431,21 +458,27 @@ def homotopy_solve(problem: Problem) -> Solution:
     inner_cap = max(200, cfg.max_iter // J)
     with np.errstate(over="ignore", invalid="ignore"):
         run = _Run.start(problem)
-        for j in range(1, J + 1):
+        march = J  # tau-steps the march takes
+        if J > 1:
+            cap = min(PLAIN_STEPS, cfg.max_iter)
+            _fixed_point(problem, run, 1.0, cap)
+            total_iters = diag["attempt_iterations"] = run.steps
+            limit = f"attempt cap: {cap} steps"
+            if (refusal := _refusal(problem, run, limit, bound_sq)) is None:
+                diag["path"], last_good_tau, march = "direct", 1.0, 0
+            else:
+                diag["attempt_note"] = f"{refusal} at tau = 1"
+                # no iterate of the attempt is kept, so the peak does not grow
+                run = _Run.start(problem)
+        for j in range(1, march + 1):
             tau = j / J
             cap = min(inner_cap, cfg.max_iter - total_iters)
             _fixed_point(problem, run, tau, cap)
             total_iters += run.steps
-            if run.reason != "converged":
-                limit = (f"inner cap: {inner_cap} steps" if cap == inner_cap
-                         else f"max_iter: {cfg.max_iter} iterations")
-                note = f"{STOP_NOTES[run.reason].format(limit=limit)} at tau = {tau:.3g}"
-            elif (nrm_sq := _norm(problem, run.u) ** 2) > bound_sq:
-                note = (
-                    f"iterate norm^2 = {nrm_sq:.6g} exceeded the a priori "
-                    f"bound {bound_sq:.6g} at tau = {tau:.3g}"
-                )
-            if note is not None:
+            limit = (f"inner cap: {inner_cap} steps" if cap == inner_cap
+                     else f"max_iter: {cfg.max_iter} iterations")
+            if (refusal := _refusal(problem, run, limit, bound_sq)) is not None:
+                note = f"{refusal} at tau = {tau:.3g}"
                 diag["last_good_tau"] = last_good_tau
                 break
             last_good_tau = tau

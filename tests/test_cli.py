@@ -281,6 +281,8 @@ class TestSolve:
         diag = json.loads(capsys.readouterr().out)
         assert diag["method"] == "homotopy"
         assert diag["status"] == "converged"
+        # u = 0 solves it at tau = 1 in one step, so no march runs
+        assert (diag["path"], diag["attempt_iterations"]) == ("direct", diag["iterations"])
 
     @pytest.mark.parametrize("method", ["picard", "homotopy"])
     def test_non_finite_exit_2_without_warnings(self, tmp_path, capfd, method):

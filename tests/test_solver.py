@@ -255,22 +255,39 @@ class TestPicard:
         assert sol.diagnostics["L_is_estimate"]
         assert sol.diagnostics["L"] == pytest.approx(0.25, abs=1e-5)
 
-    @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
-    def test_one_f_evaluation_per_iteration(self, monkeypatch, solve):
+    # |f| <= 4.3, so f u <= 0.5 u^2 + 4.3^2 / 2 and C = 10 will do
+    SINE = ("[0,1],2,3", "0.3*sin(u) + 1 + x",
+            GrowthHypotheses(L=0.3, alpha=0.5, cbound=10.0), SolverConfig())
+
+    @pytest.mark.parametrize(
+        "solve, problem, starts",
+        [
+            pytest.param(picard_solve, SINE, 1, id="picard_solve"),
+            pytest.param(homotopy_solve, SINE, 1, id="homotopy_solve"),
+            # the attempt at tau = 1 diverges, and the march evaluates F(u0)
+            # again when it starts afresh
+            pytest.param(
+                homotopy_solve,
+                ("[0,1]", "u^5 - 9*u - 50", GrowthHypotheses(alpha=0.0, cbound=1e4),
+                 SolverConfig(assume_hypotheses=True)),
+                2, id="homotopy_solve-march",
+            ),
+        ],
+    )
+    def test_one_f_evaluation_per_iteration(self, monkeypatch, solve, problem, starts):
         # F of each iterate serves its residual and the next step
         calls = []
         evaluate = solver._F
         monkeypatch.setattr(
             solver, "_F", lambda *a: calls.append(1) or evaluate(*a)
         )
-        # |f| <= 4.3, so f u <= 0.5 u^2 + 4.3^2 / 2 and C = 10 will do
-        p = make_problem(
-            ["[0,1],2,3"], "0.3*sin(u) + 1 + x", mesh=MeshParams(h=1e-2),
-            hyp=GrowthHypotheses(L=0.3, alpha=0.5, cbound=10.0),
-        )
+        axis, f_text, hyp, config = problem
+        p = make_problem([axis], f_text, mesh=MeshParams(h=1e-2), hyp=hyp, config=config)
         sol = solve(p)
         assert sol.status is Status.CONVERGED
-        assert len(calls) == sol.iterations + 1
+        if solve is homotopy_solve:
+            assert sol.diagnostics["path"] == ("direct" if starts == 1 else "march")
+        assert len(calls) == sol.iterations + starts
         assert sol.residual == residual(p, sol.u)
 
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
@@ -564,6 +581,10 @@ class TestHomotopy:
         assert sol.status is Status.CONVERGED
         assert sol.residual <= 1e-8
         assert np.abs(sol.u.interior).max() <= 1e-10
+        # at tau = 1 the start is already a fixed point, outside the ball of
+        # radius 0, so the attempt is refused and the march runs
+        assert sol.diagnostics["path"] == "march"
+        assert sol.diagnostics["attempt_note"].startswith("iterate norm^2")
 
     def test_agrees_with_picard_on_linear(self):
         hyp = GrowthHypotheses(L=0.0, alpha=0.5, cbound=2.0)
@@ -656,7 +677,10 @@ class TestHomotopy:
         )
         sol = homotopy_solve(p)
         assert sol.status is Status.MAX_ITERATIONS
-        assert sol.iterations == 1
+        # one step of the attempt at tau = 1, then one of the march
+        assert sol.diagnostics["attempt_iterations"] == 1
+        assert sol.diagnostics["path"] == "march"
+        assert sol.iterations == 2
         assert sol.diagnostics["note"].startswith("non-finite")
         assert capfd.readouterr().err == ""
 
@@ -683,6 +707,50 @@ class TestHomotopy:
         assert sol.status is Status.MAX_ITERATIONS
         assert sol.iterations <= p.config.max_iter
         assert sol.diagnostics["note"].startswith(reason)
+
+    def test_contraction_goes_direct_to_picard_solution(self):
+        # the homotopy-3d benchmark's family: |df/du| <= a + 1 < lambda_1, so
+        # the attempt at tau = 1 converges and no march runs
+        a, b, c = 0.3, 1.2, 0.6
+        axes = ["[0,1],2"] * 3
+        f_text = f"-{a}*u + sin(u) + {b} + {c}*x1*x2*x3"
+        mesh = MeshParams(h=0.25)
+        # eta sin(eta) <= eta^2 and |b + c x1 x2 x3| <= b + 8c
+        hyp = GrowthHypotheses(L=a + 1, alpha=1.5 - a, cbound=(b + 8 * c) ** 2 / 2)
+        sol = homotopy_solve(make_problem(axes, f_text, mesh=mesh, hyp=hyp))
+        assert sol.status is Status.CONVERGED
+        assert sol.diagnostics["path"] == "direct"
+        assert "attempt_note" not in sol.diagnostics
+        assert sol.iterations == sol.diagnostics["attempt_iterations"] <= solver.PLAIN_STEPS
+        picard = picard_solve(make_problem(axes, f_text, mesh=mesh, hyp=hyp))
+        assert np.abs(sol.u.values - picard.u.values).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "axis, f_text, h, alpha, cbound, path, march_iterations",
+        [
+            ("[0,1],2,3", "-0.8*u + 2*sin(3*u) + 1", 1e-3, 0.5, 100.0, "march", 284),
+            ("[0,1]", "u^5 - 9*u - 50", 1e-2, 0.0, 1e4, "march", 275),
+            ("[0,1]", "-9.7*u + 1", 1e-3, 0.0, 300.0, "march", 638),
+            ("[0,1]", "exp(-u) - 5", 1e-2, 1.0, 50.0, "direct", 145),
+        ],
+        ids=["sine", "quintic", "linear", "exp"],
+    )
+    def test_march_runs_only_where_attempt_fails(
+        self, axis, f_text, h, alpha, cbound, path, march_iterations
+    ):
+        # march_iterations is what the 20-step march alone takes; a failed
+        # attempt may add at most a quarter to it
+        p = make_problem(
+            [axis], f_text, mesh=MeshParams(h=h),
+            hyp=GrowthHypotheses(alpha=alpha, cbound=cbound),
+            config=SolverConfig(assume_hypotheses=True),
+        )
+        sol = homotopy_solve(p)
+        assert sol.status is Status.CONVERGED
+        assert sol.diagnostics["path"] == path
+        assert sol.iterations <= 1.25 * march_iterations
+        assert ("attempt_note" in sol.diagnostics) == (path == "march")
+        assert "note" not in sol.diagnostics
 
     def test_bound_violation_surfaced_not_hidden(self):
         # f = -3u/(1+u^2) - 1 satisfies the one-sided pair (0.5, 1), yet
