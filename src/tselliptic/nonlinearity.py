@@ -17,8 +17,9 @@ negative bases.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -403,13 +404,22 @@ class GrowthHypotheses:
             raise ValueError("one-sided constant C must be >= 0")
 
 
-def _sampled(e: Expression, points, u_range, samples: int, name: str):
-    """Each of ``samples`` values v spaced evenly over ``u_range``, with f
-    over the product of ``points`` as a function of u: an undefined value
-    raises EvaluationError naming its grid point, then ``name = v``."""
+# Slack of the one-sided test, relative to alpha * eta^2 + C; the range
+# bound accepts a sample only within half of it.
+ONE_SIDED_TOL = 1e-9
+
+
+def _samples(u_range: tuple[float, float], samples: int) -> np.ndarray:
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    for v in np.linspace(u_range[0], u_range[1], samples):
+    return np.linspace(u_range[0], u_range[1], samples)
+
+
+def _sampled(e: Expression, points, values, name: str):
+    """Each v of ``values``, with f over the product of ``points`` as a
+    function of u: an undefined value raises EvaluationError naming its
+    grid point, then ``name = v``."""
+    for v in values:
         def f(u, v=v):
             try:
                 return substitute(e, points, np.float64(u))
@@ -425,17 +435,26 @@ def estimate_lipschitz(
     samples: int = 101,
 ) -> float:
     """Max of |df/du| over the product of the per-axis ``points`` and
-    sampled u, by central differences with step 1e-6 * scale.
+    sampled u, by central differences with step 1e-6 * scale; inf when a
+    sampled slope is not finite.
 
     A sampled lower estimate of the true Lipschitz constant, not a
     certificate: the solver only uses it when explicitly accepted.
     """
     best = 0.0
-    for uv, f in _sampled(e, points, u_range, samples, "u"):
-        d = 1e-6 * max(1.0, abs(uv))
-        slope = np.abs(f(uv + d) - f(uv - d)) / (2.0 * d)
-        best = max(best, float(np.max(slope)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for uv, f in _sampled(e, points, _samples(u_range, samples), "u"):
+            d = 1e-6 * max(1.0, abs(uv))
+            slope = float(np.max(np.abs(f(uv + d) - f(uv - d)))) / (2.0 * d)
+            best = math.inf if math.isnan(slope) else max(best, slope)
     return best
+
+
+def _one_sided_limit(eta, alpha: float, cbound: float, tol: float):
+    """alpha * eta^2 + C plus ``tol`` relative to it: the most that the
+    left side f(x, eta) * eta of the one-sided condition may be."""
+    rhs = alpha * eta**2 + cbound
+    return rhs + tol * (1.0 + abs(rhs))
 
 
 def check_one_sided(
@@ -447,11 +466,156 @@ def check_one_sided(
     samples: int = 101,
 ) -> tuple[tuple[float, ...], float] | None:
     """Sample f(x, eta) * eta <= alpha * eta^2 + C over the product of the
-    per-axis ``points``; return the first violation as (x, eta), or None."""
-    for eta, f in _sampled(e, points, u_range, samples, "eta"):
-        lhs = f(eta) * eta
-        rhs = alpha * eta**2 + cbound
-        bad = lhs > rhs + 1e-9 * (1.0 + abs(rhs))
-        if bad.any():
-            return _grid_point(points, bad), float(eta)
+    per-axis ``points``; return the first violation as (x, eta), or None.
+
+    A range bound over all the points at once decides most samples of eta
+    (``_bound_holds``); only the samples it cannot decide are evaluated
+    point by point, in order, so the witness and any EvaluationError are
+    those of the point-by-point check.  The samples still stand for the
+    values of eta between them: the check is not a certificate in eta.
+    """
+    etas = _samples(u_range, samples)
+    lhs = Binary("*", e, Var("u"))  # f(x, eta) * eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        held = _bound_holds(lhs, points, etas, alpha, cbound)
+        for eta, f in _sampled(lhs, points, etas[~held], "eta"):
+            bad = f(eta) > _one_sided_limit(eta, alpha, cbound, ONE_SIDED_TOL)
+            if bad.any():
+                return _grid_point(points, bad), float(eta)
     return None
+
+
+# --- range bounds ---------------------------------------------------------
+#
+# Interval arithmetic (Moore, Kearfott & Cloud, Introduction to Interval
+# Analysis, SIAM 2009) over an expression whose u-free subtrees are folded
+# to the range of their values on the grid, vectorised over the samples of
+# u: each node gives arrays lo, hi that enclose its floating-point values
+# at every grid point, ends rounded outward with np.nextafter (by 4 ulps
+# after the library functions exp, sin, cos and pow, which need not be
+# correctly rounded).  Both ends are NaN, "undecided", where the node is
+# not finite or may be undefined at some point.
+
+
+@dataclass(frozen=True)
+class _Range:
+    """A u-free subtree folded to the least and greatest of its values."""
+
+    lo: float
+    hi: float
+
+
+def _reads_u(e: Expression) -> bool:
+    return e == Var("u") or any(
+        _reads_u(c) for c in vars(e).values() if isinstance(c, Expression)
+    )
+
+
+def _fold(e: Expression, xs):
+    """``e`` with each largest u-free subtree replaced by the range of its
+    values over the coordinate arrays ``xs``."""
+    if not _reads_u(e):
+        v = np.asarray(evaluate_arrays(e, xs, None), dtype=float)
+        return _Range(float(v.min()), float(v.max()))
+    return replace(e, **{
+        k: _fold(c, xs) for k, c in vars(e).items() if isinstance(c, Expression)
+    })
+
+
+def _widen(lo, hi, ulps: int = 1):
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+def _hull(*ends):
+    return _widen(np.minimum.reduce(ends), np.maximum.reduce(ends))
+
+
+def _periodic_bound(fun, lo, hi, peak: int):
+    """Range of sin or cos, which are 1 at x = (4m + peak) * pi/2 and -1
+    at (4m + peak + 2) * pi/2, and monotone between."""
+    a, b = lo / (np.pi / 2), hi / (np.pi / 2)
+    slack = 1e-12 * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    a, b = a - slack, b + slack
+
+    def reaches(r):
+        return np.floor((b - r) / 4) >= np.ceil((a - r) / 4)
+
+    fa, fb = fun(lo), fun(hi)
+    return _widen(
+        np.where(reaches(peak + 2), -1.0, np.minimum(fa, fb)),
+        np.where(reaches(peak), 1.0, np.maximum(fa, fb)),
+        4,
+    )
+
+
+def _fun_bound(name: str, lo, hi):
+    if name == "abs":
+        return np.where(lo >= 0, lo, np.where(hi <= 0, -hi, 0.0)), np.maximum(-lo, hi)
+    if name == "sqrt":
+        return _widen(np.sqrt(np.where(lo < 0, np.nan, lo)), np.sqrt(hi))
+    if name == "exp":
+        return _widen(np.exp(lo), np.exp(hi), 4)
+    fun, peak = {"sin": (np.sin, 1), "cos": (np.cos, 0)}[name]
+    return _periodic_bound(fun, lo, hi, peak)
+
+
+def _pow_bound(lo, hi, n: int):
+    if n == 0:  # 1, unless the base may be undefined
+        one = np.where(np.isnan(lo), np.nan, 1.0)
+        return one, one
+    a, b = np.power(lo, n), np.power(hi, n)
+    plo, phi = np.minimum(a, b), np.maximum(a, b)  # monotone off 0
+    spans_zero = (lo <= 0) & (hi >= 0)
+    if n < 0:
+        plo = np.where(spans_zero, np.nan, plo)
+    elif n % 2 == 0:
+        plo = np.where(spans_zero, 0.0, plo)
+    return _widen(plo, phi, 4)
+
+
+def _binary_bound(op: str, alo, ahi, blo, bhi):
+    if op == "+":
+        return _widen(alo + blo, ahi + bhi)
+    if op == "-":
+        return _widen(alo - bhi, ahi - blo)
+    if op == "*":
+        return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    spans_zero = (blo <= 0) & (bhi >= 0)
+    blo, bhi = np.where(spans_zero, np.nan, blo), np.where(spans_zero, np.nan, bhi)
+    return _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+
+
+def _bound(e, eta: np.ndarray):
+    """[lo, hi] enclosing a folded tree's values for u = each entry of
+    ``eta``; both NaN where the bound cannot decide."""
+    if isinstance(e, _Range):
+        lo, hi = np.full_like(eta, e.lo), np.full_like(eta, e.hi)
+    elif isinstance(e, Var):  # folding leaves no other variable than u
+        lo, hi = eta, eta
+    elif isinstance(e, Neg):
+        lo, hi = _bound(e.arg, eta)
+        lo, hi = -hi, -lo
+    elif isinstance(e, Fun):
+        lo, hi = _fun_bound(e.name, *_bound(e.arg, eta))
+    elif isinstance(e, Pow):
+        lo, hi = _pow_bound(*_bound(e.base, eta), e.exponent)
+    else:
+        lo, hi = _binary_bound(e.op, *_bound(e.left, eta), *_bound(e.right, eta))
+    undecided = ~(np.isfinite(lo) & np.isfinite(hi))
+    return np.where(undecided, np.nan, lo), np.where(undecided, np.nan, hi)
+
+
+def _bound_holds(lhs: Expression, points, etas, alpha: float, cbound: float):
+    """Per sample of ``etas``: whether a range bound shows that ``lhs`` at
+    u = eta is within half the one-sided slack at every point of the
+    product of ``points``.  False where it cannot tell, and everywhere
+    when the u-free subtrees of ``lhs`` cannot be folded."""
+    with np.errstate(all="ignore"):
+        try:
+            folded = _fold(lhs, np.ix_(*points))
+        except (ArithmeticError, ValueError):
+            return np.zeros(len(etas), dtype=bool)
+        hi = _bound(folded, etas)[1]
+        return hi <= _one_sided_limit(etas, alpha, cbound, ONE_SIDED_TOL / 2)

@@ -318,6 +318,30 @@ class TestSolve:
             f"{sample}\n"
         )
 
+    def test_overflow_in_the_one_sided_check_is_one_error_line(self, tmp_path, capsys):
+        # C = 1e300 puts the sampled eta near 1e150, where u^3 overflows
+        cfg = write_config(
+            tmp_path, axes=["[0,1]"], mesh={"h": 0.1}, f="u^3",
+            hypotheses={"alpha": 0.5, "C": 1e300}, solver={"method": "homotopy"},
+        )
+        assert cli.main(["solve", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: one-sided condition violated at x = (0.1,)")
+        assert err.count("\n") == 1
+
+    def test_overflowed_lipschitz_estimate_refuses(self, tmp_path, capsys):
+        # u^3 overflows at every sampled u in (-1e120, 1e120) but u = 0
+        cfg = write_config(
+            tmp_path, axes=["[0,1]"], mesh={"h": 0.1}, f="u^3",
+            solver={"method": "picard", "accept_estimated_L": True, "box": 1e120},
+        )
+        assert cli.main(["solve", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        diag = json.loads(captured.out)
+        assert diag["status"] == "non_contraction"
+        assert (diag["L"], diag["L_is_estimate"]) == (None, True)
+
     @pytest.mark.parametrize(
         "config",
         [

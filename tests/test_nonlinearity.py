@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from tselliptic import nonlinearity as nl
 from tselliptic.nonlinearity import (
+    FUNCTIONS,
     Binary,
     Const,
     EvaluationError,
+    Fun,
     GrowthHypotheses,
     Neg,
     ParseError,
@@ -18,6 +23,7 @@ from tselliptic.nonlinearity import (
     max_coordinate,
     nemytskii,
     parse,
+    substitute,
     to_string,
 )
 from tselliptic.operator import weighted_norm
@@ -263,6 +269,11 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError):
             estimate_lipschitz(parse("u"), [G4.points], (-1.0, 1.0), samples=1)
 
+    def test_overflowed_slope_is_infinite(self):
+        # u^3 overflows at every sample but u = 0, where the slope is 1e-12
+        est = estimate_lipschitz(parse("u^3"), [G4.points], (-1e120, 1e120))
+        assert est == math.inf
+
 
 class TestOneSided:
     def test_negative_linear_passes(self):
@@ -309,3 +320,176 @@ class TestGrowthHypotheses:
             GrowthHypotheses(cbound=-0.1)
         h = GrowthHypotheses(L=2.0, alpha=0.5, cbound=0.0)
         assert h.L == 2.0
+
+
+# --- the range bound of the one-sided check --------------------------------
+
+
+def grid_only_check(e, points, alpha, cbound, u_range, samples):
+    """The one-sided check as it was before the range bound: f at every
+    point for every sample of eta.  The oracle of the bound's shortcut."""
+    shape = tuple(len(p) for p in points)
+    with np.errstate(all="ignore"):
+        for eta in np.linspace(u_range[0], u_range[1], samples):
+            try:
+                lhs = substitute(e, points, eta) * eta
+            except EvaluationError as err:
+                raise EvaluationError(f"{err}, eta = {eta:g}") from None
+            rhs = alpha * eta**2 + cbound
+            bad = np.broadcast_to(lhs > rhs + 1e-9 * (1.0 + abs(rhs)), shape)
+            if bad.any():
+                idx = np.argwhere(bad)[0]
+                return tuple(float(p[j]) for p, j in zip(points, idx)), float(eta)
+    return None
+
+
+CONSTANTS = (0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 0.1, 1e200, -1e-300)
+
+
+def random_expression(rng, depth: int):
+    """A random tree over the whole grammar, in u, x1 and x2."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.4:
+            return Var("u")
+        if r < 0.7:
+            return Var(f"x{rng.integers(1, 3)}")
+        return Const(float(rng.choice(CONSTANTS)))
+    kind = rng.integers(4)
+    if kind == 0:
+        return Neg(random_expression(rng, depth - 1))
+    if kind == 1:
+        return Fun(str(rng.choice(FUNCTIONS)), random_expression(rng, depth - 1))
+    if kind == 2:
+        return Pow(random_expression(rng, depth - 1), int(rng.integers(-3, 5)))
+    return Binary(
+        str(rng.choice(list("+-*/"))),
+        random_expression(rng, depth - 1),
+        random_expression(rng, depth - 1),
+    )
+
+
+# a second axis with x = 0 on it, where 1/x and x^-1 are undefined
+ZERO_AXIS = discretize(TimeScale.parse("[-1,1],1.5,3"), MeshParams(h=0.5)).points[1:-1]
+
+
+def random_points(rng):
+    """The interior points of a random 2D hybrid grid."""
+    return [random_grid(rng).points[1:-1], ZERO_AXIS]
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except EvaluationError as err:
+        return f"EvaluationError: {err}"
+
+
+def enclosure(e, points, etas):
+    """The folded range bound of e at each eta, checked against e at every
+    point: each value lies in its range, and a sample where e is undefined
+    or not finite somewhere is undecided.  Returns the decided mask."""
+    xs = np.ix_(*points)
+    with np.errstate(all="ignore"):
+        try:
+            lo, hi = nl._bound(nl._fold(e, xs), etas)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                evaluate_arrays(e, xs, etas[0])
+            return np.zeros(len(etas), dtype=bool)
+        decided = ~np.isnan(lo)
+        assert np.array_equal(decided, ~np.isnan(hi))
+        for k, eta in enumerate(etas):
+            try:
+                vals = np.asarray(evaluate_arrays(e, xs, eta), dtype=float)
+            except EvaluationError:
+                assert not decided[k], (to_string(e), eta)
+                continue
+            if decided[k]:
+                assert np.isfinite(vals).all(), (to_string(e), eta)
+                assert lo[k] <= vals.min() and vals.max() <= hi[k], (to_string(e), eta)
+    return decided
+
+
+class TestRangeBound:
+    @pytest.mark.parametrize("text", [
+        "x1 + u", "x1 - u", "x1*u", "u/(x1 + 5)", "-u", "x1*u^2", "u^3", "u^0",
+        "(u + x1)^-1", "(u + 10)^-2", "(u - x1)^2", "(u - x1)^4", "sin(x1*u)", "cos(u - x1)", "exp(u/10)",
+        "abs(u - x1)", "sqrt(u^2 + x1 + 3)", "0.5", "x1*x2",
+    ])
+    def test_each_node_encloses_its_values(self, text):
+        rng = np.random.default_rng(7)
+        points = random_points(rng)
+        etas = np.concatenate([np.linspace(-9.0, 9.0, 19), rng.uniform(-30, 30, 20)])
+        decided = enclosure(parse(text), points, etas)
+        assert decided.mean() > 0.5, text  # the bound is not vacuous
+
+    def test_random_expressions_enclose_their_values(self):
+        rng = np.random.default_rng(20240811)
+        decided = 0
+        for _ in range(300):
+            e = random_expression(rng, 4)
+            etas = np.linspace(-rng.uniform(0, 20), rng.uniform(0, 20), 7)
+            decided += enclosure(e, random_points(rng), etas).sum()
+        assert decided > 300
+
+    @pytest.mark.parametrize("text, eta", [
+        ("sqrt(u)", -1.0),             # sqrt of a range below 0
+        ("sqrt(u - x1)", 0.25),        # ... reaching below 0 at some points
+        ("1/(u - x1)", 0.25),          # division by a range holding 0
+        ("(u - x1)^-1", 0.25),         # a negative power of such a range
+        ("u^-2", 0.0),
+        ("(1/u)^0", 0.0),              # ^0 of an undefined base
+        ("exp(u)", 1000.0),            # overflow to +inf
+        ("-exp(u)", 1000.0),           # ... and to -inf
+        ("u^3", 1e200),
+        ("u*1e200*1e200", 1.0),
+    ])
+    def test_undecided_is_never_accepted(self, text, eta):
+        e, points = parse(text), [np.array([0.0, 0.5, 1.0])]
+        etas = np.array([eta])
+        assert not enclosure(e, points, etas).any()
+        lhs = Binary("*", e, Var("u"))
+        assert not nl._bound_holds(lhs, points, etas, 0.0, 1e300).any()
+
+    @pytest.mark.parametrize("excess", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_same_answers_at_the_edge_of_the_slack(self, excess):
+        # f * eta = eta^2 = 1 at eta = 1 exceeds alpha * eta^2 by about
+        # excess * 2e-9, against the slack 1e-9 * (1 + alpha)
+        args = (parse("u"), [G4.points], 1.0 - excess * 2e-9, 0.0, (0.5, 1.0), 3)
+        assert check_one_sided(*args) == grid_only_check(*args)
+
+    def test_power_zero_of_a_defined_base_is_one(self):
+        with np.errstate(all="ignore"):
+            lo, hi = nl._bound(nl._fold(parse("(u - 1)^0"), []), np.array([0.0, 5.0]))
+        assert list(lo) == list(hi) == [1.0, 1.0]
+
+    def test_same_answers_as_the_grid_only_check(self):
+        # each answer (witness, None or error text) equals the oracle's
+        rng = np.random.default_rng(11)
+        grids = [random_points(rng) for _ in range(8)]
+        kinds = {"none": 0, "witness": 0, "error": 0}
+        for _ in range(2000):
+            e = random_expression(rng, 3)
+            points = grids[rng.integers(len(grids))]
+            alpha, cbound = rng.uniform(-1.0, 3.0), 10.0 ** rng.uniform(-3, 3)
+            span = 10.0 ** rng.uniform(-1, 2)
+            args = (e, points, alpha, cbound, (-span, span), int(rng.integers(2, 12)))
+            want = outcome(grid_only_check, *args)
+            assert outcome(check_one_sided, *args) == want, to_string(e)
+            kinds["none" if want is None else
+                  "error" if isinstance(want, str) else "witness"] += 1
+        assert min(kinds.values()) > 100, kinds
+
+    def test_benchmark_family_needs_no_grid_sweep(self, monkeypatch):
+        # the homotopy-3d f, whose pair bounds |b + c x1 x2 x3| by b + 8c
+        a, b, c = 0.3, 1.2, 0.7
+        e = parse("-a*u + sin(u) + b + c*x1*x2*x3", {"a": a, "b": b, "c": c})
+        alpha, cbound = 1.0 - a + 0.5, (b + 8.0 * c) ** 2 / 2.0
+        axis = discretize(TimeScale.parse("[0,1],2"), MeshParams(h=0.25)).points[1:-1]
+        sweeps = []
+        monkeypatch.setattr(
+            nl, "substitute", lambda *args: sweeps.append(args) or substitute(*args)
+        )
+        assert check_one_sided(e, [axis] * 3, alpha, cbound, (-40.0, 40.0)) is None
+        assert sweeps == []
