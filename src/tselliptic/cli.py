@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -36,7 +37,9 @@ EXIT_CONFIG = 3
 METHODS = ("picard", "homotopy", "enumerate")
 FORMATS = ("csv", "json")
 # CSV rows formatted by one % operation: enough to amortise the call, few
-# enough that a chunk's Python floats and text stay small beside the table
+# enough that a chunk's Python floats and text stay small.  A table streams
+# one chunk at a time, so beside its values it holds one chunk's text and,
+# for a grid table, the text of each axis's coordinates.
 CSV_CHUNK_ROWS = 4096
 
 # The config format.  A dict is an object with those keys ({str: T} takes
@@ -175,25 +178,62 @@ def _quote(text: str) -> str:
 def _csv_rows(columns, end: str = "\r\n"):
     """The rows of equal-length ``columns`` as text, CSV_CHUNK_ROWS rows per
     string: float columns as %.17g, any other column as quoted text.  The
-    bytes are those of csv.writer given format(v, ".17g") for each float."""
+    bytes are those of csv.writer given format(v, ".17g") for each float.
+    It serves the small tables with text columns; grid tables go through
+    :func:`_grid_rows`."""
     cols = [np.asarray(c) for c in columns]
     floats = [c.dtype.kind == "f" for c in cols]
-    if all(floats):
-        table = np.column_stack(cols)
-    else:
-        table = np.empty((len(cols[0]), len(cols)), dtype=object)
-        for j, (c, is_float) in enumerate(zip(cols, floats)):
-            table[:, j] = c if is_float else [_quote(str(v)) for v in c.tolist()]
+    table = np.empty((len(cols[0]), len(cols)), dtype=object)
+    for j, (c, is_float) in enumerate(zip(cols, floats)):
+        table[:, j] = c if is_float else [_quote(str(v)) for v in c.tolist()]
     line = ",".join("%.17g" if is_float else "%s" for is_float in floats) + end
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         chunk = table[start : start + CSV_CHUNK_ROWS]
         yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
+def _cells(points: np.ndarray) -> list[str]:
+    """Each coordinate as the text of its CSV cell, comma included."""
+    return ["%.17g," % x for x in points.tolist()]
+
+
+def _grid_rows(cells, values, end: str = "\r\n"):
+    """The rows of a table over a product grid as text, about CSV_CHUNK_ROWS
+    rows per string: each point's coordinates in C order, then its value,
+    with the bytes of :func:`_csv_rows`.  ``cells`` holds each axis's
+    :func:`_cells`, so a coordinate is formatted once however many rows it
+    is on, and ``values`` the grid's values in C order.
+
+    The rows of one run along the last axis share their outer prefix, so
+    one join builds their template, and one % per chunk fills the values
+    in.  The prefixes come lazily: beside ``values`` the table holds one
+    chunk and the cells, never a row per point."""
+    *outer, last = cells
+    pieces = [last[i : i + CSV_CHUNK_ROWS] for i in range(0, len(last), CSV_CHUNK_ROWS)]
+    row = "%.17g" + end
+    templates = (
+        (prefix + (row + prefix).join(piece) + row, len(piece))
+        for prefix in map("".join, itertools.product(*outer))
+        for piece in pieces
+    )
+    per_chunk = max(1, CSV_CHUNK_ROWS // len(pieces[0]))
+    flat = np.ravel(values)  # a view of a C-contiguous grid function
+    start = 0
+    while chunk := list(itertools.islice(templates, per_chunk)):
+        stop = start + sum(n for _, n in chunk)
+        yield "".join(t for t, _ in chunk) % tuple(flat[start:stop].tolist())
+        start = stop
+
+
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """A CSV file: the header, then the text chunks of ``rows``."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        fh.writelines(_csv_rows(columns))
+        fh.writelines(rows)
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    _write_table(path, header, _csv_rows(columns))
 
 
 def _resolve_output(args, cfg: dict) -> tuple[Path | None, str]:
@@ -273,11 +313,12 @@ def cmd_spectrum(args) -> int:
             )
             if problem.n == 1:
                 spec = spectra[0]
+                t = [_cells(spec.grid.points)]  # the same in every file
                 for i in range(len(entries)):
-                    _write_csv(
+                    _write_table(
                         outdir / f"eigenfunction_{i + 1:02d}.csv",
                         ["t", "phi"],
-                        [spec.grid.points, spec.phis[i]],
+                        _grid_rows(t, spec.phis[i]),
                     )
     return EXIT_OK
 
@@ -293,11 +334,10 @@ def _write_solution(outdir: Path, name: str, u: GridFunction, fmt: str):
         }
         (outdir / f"{name}.json").write_text(_json(payload))
     else:
-        coords = np.meshgrid(*(g.points for g in u.grids), indexing="ij")
-        _write_csv(
+        _write_table(
             outdir / f"{name}.csv",
             [f"x{i + 1}" for i in range(u.ndim)] + ["u"],
-            [c.ravel() for c in coords] + [u.values.ravel()],
+            _grid_rows([_cells(g.points) for g in u.grids], u.values),
         )
 
 
@@ -319,7 +359,11 @@ def cmd_solve(args) -> int:
             "lambda1": problem.lambda1,
             "lambda1_lower_bound": problem.lambda1_lower_bound,
             "solutions": [
-                {"residual": s.residual, "interior": s.u.interior.ravel().tolist()}
+                {
+                    "residual": s.residual,
+                    "near_singular": s.diagnostics["near_singular"],
+                    "interior": s.u.interior.ravel().tolist(),
+                }
                 for s in result.solutions
             ],
         }
@@ -369,12 +413,13 @@ def cmd_greens(args) -> int:
         op = problem.operators[0]
         f = _read_function_file(args.apply, grid)
         y = GridFunction.from_interior(grid, op_mod.tridiag_solve(op, f.interior))
+        t = [_cells(grid.points)]
         if outdir is None:
-            sys.stdout.writelines(_csv_rows([grid.points, y.values], "\n"))
+            sys.stdout.writelines(_grid_rows(t, y.values, "\n"))
         elif fmt == "json":
             _write_solution(outdir, "inverse", y, fmt)
         else:
-            _write_csv(outdir / "inverse.csv", ["t", "y"], [grid.points, y.values])
+            _write_table(outdir / "inverse.csv", ["t", "y"], _grid_rows(t, y.values))
     return EXIT_OK
 
 

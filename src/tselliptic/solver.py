@@ -162,12 +162,13 @@ class Problem:
 
     @functools.cached_property
     def spectra(self) -> tuple[sp.Spectrum1D, ...]:
-        return tuple(sp.spectrum_1d(g) for g in self.grids)
+        return _per_grid(sp.spectrum_1d, self.grids)
 
     @functools.cached_property
     def lambda1(self) -> float:
         # one eigenpair per axis; the full eigenbasis waits for a caller
-        return float(sum(sp.spectrum_1d(g, 1).eigenvalues[0] for g in self.grids))
+        lowest = _per_grid(lambda g: sp.spectrum_1d(g, 1), self.grids)
+        return float(sum(s.eigenvalues[0] for s in lowest))
 
     @property
     def lambda1_lower_bound(self) -> float:
@@ -176,6 +177,13 @@ class Problem:
     @property
     def volume(self) -> float:
         return math.prod(ts.b - ts.a for ts in self.axes)
+
+
+def _per_grid(fn, grids: Sequence[Grid]) -> tuple:
+    """``fn`` of each grid, called once per distinct grid: equal axes
+    (equal points and weights) share one result."""
+    results = {g: fn(g) for g in dict.fromkeys(grids)}
+    return tuple(results[g] for g in grids)
 
 
 @dataclass
@@ -530,6 +538,13 @@ def _cramer(J, r) -> np.ndarray:
         return np.array(cols) / _det(J)
 
 
+def _slopes(f_vals, u: np.ndarray) -> np.ndarray:
+    """Central difference quotients of f in u at each column of ``u``: the
+    diagonal that f adds to the Jacobian A + diag(f'(u))."""
+    h = 1e-6 * np.maximum(1.0, np.abs(u))
+    return (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
+
+
 def _newton(A: np.ndarray, f_vals, u: np.ndarray, alive: np.ndarray):
     """At most 80 Newton steps for Au + F(u) = 0 from each column of the
     block ``u``, which it advances in place.  A start dies, leaving
@@ -540,13 +555,11 @@ def _newton(A: np.ndarray, f_vals, u: np.ndarray, alive: np.ndarray):
     for steps in range(81):  # Newton steps taken so far, at most 80
         R = A @ u + f_vals(u)
         alive &= np.isfinite(R).all(axis=0)
-        abs_u = np.abs(u)
-        scale = abs_u.max(axis=0)
+        scale = np.abs(u).max(axis=0)
         active = alive & ~(np.abs(R).max(axis=0) <= 1e-11 * (1.0 + scale))
         if steps == 80 or not active.any():
             return R, scale
-        h = 1e-6 * np.maximum(1.0, abs_u)
-        fp = (f_vals(u + h) - f_vals(u - h)) / (2.0 * h)
+        fp = _slopes(f_vals, u)
         alive &= ~active | np.isfinite(fp).all(axis=0)
         # the Jacobian A + diag(f'(u)): arrays on the diagonal, scalars off it
         J = [[a + fp[i] if i == j else a for j, a in enumerate(row)]
@@ -614,16 +627,50 @@ def enumerate_small(
                 & (np.abs(R).max(axis=0) <= 1e-10 * (1.0 + scale))
                 & (scale <= box * (1.0 + 1e-9))
             )
-    roots = _dedupe(u.T[inside], 1e-6, exact=True)
+        roots = _dedupe(u.T[inside], 1e-6, exact=True)
+        roots, singular = _merge_singular(A, f_vals, roots, 1e-6)
     candidates = _dedupe(u.T[alive], 1e-6, exact=False)
     solutions = [
         Solution(GridFunction.from_interior(problem.grids, r),
                  _residual(problem, r, _F(problem, r)), Status.CONVERGED, 0,
-                 problem.lambda1, diagnostics={"route": "enumeration"})
-        for r in (root.reshape(shape) for root in roots)
+                 problem.lambda1,
+                 diagnostics={"route": "enumeration", "near_singular": bool(flag)})
+        for r, flag in zip((root.reshape(shape) for root in roots), singular)
     ]
     status = Status.CONVERGED if solutions else Status.NO_REAL_SOLUTION_SUSPECTED
     return EnumerationResult(solutions=solutions, candidates=candidates, status=status)
+
+
+def _merge_singular(A: np.ndarray, f_vals, roots: np.ndarray, tol: float):
+    """Merge the copies of a near-singular root among distinct ``roots``
+    (one per row); returns the kept roots, in their order, and a flag per
+    kept root that says whether it is near-singular.
+
+    Where the Jacobian J = A + diag(f'(u)) is singular, Newton converges
+    only linearly and stops wherever the residual R meets its tolerance, so
+    the starts leave copies of the root spread wider than ``tol``.  Near a
+    fold, R ~ c e^2 / 2 and J's least singular value s ~ c e at a distance
+    e from the exact root, so e ~ 2 |R| / s; each root's radius is twice
+    that.  A root is near-singular when its radius exceeds ``tol``, the
+    spread that deduplication merges.  Two near-singular roots within the
+    sum of their radii are one: the one of smaller radius is kept."""
+    u = roots.T  # (d, k)
+    res = np.linalg.norm(A @ u + f_vals(u), axis=0)
+    J = A + _slopes(f_vals, u).T[:, :, None] * np.eye(len(A))  # (k, d, d)
+    smin = np.full(len(roots), np.inf)  # no radius where J is not finite
+    known = np.isfinite(J).all(axis=(1, 2))
+    smin[known] = np.linalg.svd(J[known], compute_uv=False)[:, -1]
+    with np.errstate(divide="ignore"):  # a singular J gives an infinite radius
+        radius = np.where(res > 0, 4.0 * res / smin, 0.0)
+    singular = radius > tol
+    keep = ~singular
+    firsts: list[int] = []  # the kept near-singular roots
+    near = np.flatnonzero(singular)
+    for i in near[np.argsort(radius[near], kind="stable")]:
+        if all(np.linalg.norm(roots[i] - roots[j]) > radius[i] + radius[j] for j in firsts):
+            firsts.append(i)
+    keep[firsts] = True
+    return roots[keep], singular[keep]
 
 
 def _dedupe(points: np.ndarray, tol: float, exact: bool) -> np.ndarray:

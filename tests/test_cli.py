@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -589,11 +590,21 @@ class TestCsvFormat:
         digits = lam.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 15
 
-    @pytest.mark.parametrize("axes, h", [(["[0,1],2,3"], 2e-4), (["[0,1]", "[0,1],2"], 0.01)])
+    @pytest.mark.parametrize(
+        "axes, h",
+        [
+            (["[0,1],2,3"], 2e-4),
+            (["[0,1]", "[0,1],2"], 0.01),
+            # last axes of 4,201 and 4,102 points, longer than one chunk
+            (["0,1,2", "0,0.5,1", "[0,1]"], 1 / 4200),
+            (["0,1,2", "0,2,3", "0,0.5,1", "[0,1],2"], 1 / 4100),
+        ],
+    )
     def test_solution_matches_csv_writer(self, tmp_path, axes, h):
         grids = tuple(discretize(TimeScale.parse(a), MeshParams(h=h)) for a in axes)
         shape = tuple(len(g.points) for g in grids)
         assert math.prod(shape) > cli.CSV_CHUNK_ROWS
+        assert math.prod(shape) % cli.CSV_CHUNK_ROWS  # a last, partial chunk
         rng = np.random.default_rng(5)
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         values.flat[: len(SPECIAL)] = SPECIAL
@@ -606,6 +617,53 @@ class TestCsvFormat:
         header = [f"x{i + 1}" for i in range(len(grids))] + ["u"]
         expected = reference_csv(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "solution.csv").read_bytes() == expected
+
+    def test_solution_write_holds_less_than_the_values(self, tmp_path):
+        # 548 x 548 = 300,304 rows: the table streams, so beside the solution
+        # the write holds one chunk and the coordinate cells
+        grid = discretize(TimeScale.parse("[0,1]"), MeshParams(h=1 / 547))
+        values = np.random.default_rng(7).standard_normal((548, 548))
+        u = GridFunction((grid, grid), values)
+        tracemalloc.start()
+        try:
+            cli._write_solution(tmp_path, "solution", u, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size >= 300_000
+        assert peak < values.nbytes
+
+    def test_eigenfunctions_match_csv_writer(self, tmp_path, capsys):
+        # 5,003 points: more than one chunk, the last one partial
+        cfg = write_config(tmp_path, axes=["[0,1],2,3"], mesh={"h": 2e-4})
+        out = tmp_path / "spectrum"
+        assert cli.main(["spectrum", "--config", cfg, "--k", "2", "--out", str(out)]) == 0
+        grid = cli.build_problem(json.loads(Path(cfg).read_text()))[0].grids[0]
+        assert len(grid.points) % cli.CSV_CHUNK_ROWS > 0
+        phis = sp.spectrum_1d(grid, 2).phis
+        for k, phi in enumerate(phis, 1):
+            rows = zip(grid.points.tolist(), phi.tolist())
+            expected = reference_csv(tmp_path / "ref.csv", ["t", "phi"], rows)
+            assert (out / f"eigenfunction_{k:02d}.csv").read_bytes() == expected
+
+    def test_greens_rows_match_csv_writer(self, tmp_path, capsys):
+        # the stdout rows of greens --apply: csv.writer's with "\n" line ends
+        cfg = write_config(tmp_path, axes=["[0,1],2,3"], mesh={"h": 2e-4})
+        points = discretize(TimeScale.parse("[0,1],2,3"), MeshParams(h=2e-4)).points
+        ffile = tmp_path / "rhs.csv"
+        ffile.write_text("".join(f"{t!r},{math.cos(3 * t)!r}\n" for t in points.tolist()))
+        argv = ["greens", "--config", cfg, "--t", "1", "--s", "1", "--apply", str(ffile)]
+        assert cli.main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        payload = json.loads((tmp_path / "json" / "inverse.json").read_text())
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        for row in zip(*payload["axes"], payload["values"]):
+            writer.writerow([format(v, ".17g") for v in row])
+        assert printed.split("\n", 1)[1] == text.getvalue()
+        assert printed.count("\n") == len(points) + 1
 
     def test_eigenvalues_match_csv_writer(self, tmp_path, capsys):
         cfg = write_config(tmp_path, axes=["[0,1],2,3", "0,1,2,3"], mesh={"h": 0.05})

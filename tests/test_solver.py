@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tselliptic import nonlinearity as nl
-from tselliptic import solver
+from tselliptic import solver, spectral
 from tselliptic.nonlinearity import GrowthHypotheses, parse
 from tselliptic.solver import (
     HypothesisError,
@@ -15,6 +15,7 @@ from tselliptic.solver import (
     _cramer,
     _dedupe,
     _dense_operator,
+    _merge_singular,
     apply_operator,
     apriori_radius,
     enumerate_small,
@@ -97,6 +98,26 @@ class TestSpectralInverse:
         u = spectral_inverse(p.spectra, f)
         exact = np.linalg.solve(_dense_operator(p), f.ravel())
         assert np.abs(u.ravel() - exact).max() <= 1e-12
+
+    def test_equal_axes_share_one_eigensolve(self, monkeypatch):
+        p = make_problem(["[0,1],2", "0,1,2,3", "[0,1],2"], "0", mesh=MeshParams(h=0.05))
+        assert p.grids[0] == p.grids[2] and p.grids[0] is not p.grids[2]
+        calls = []
+        real = spectral.spectrum_1d
+        monkeypatch.setattr(
+            spectral, "spectrum_1d", lambda g, k=None: calls.append(k) or real(g, k)
+        )
+        assert p.spectra[0] is p.spectra[2] is not p.spectra[1]
+        lam1 = p.lambda1
+        assert calls == [None, None, 1, 1]  # one of each per distinct axis
+        monkeypatch.undo()
+        for shared, g in zip(p.spectra, p.grids):
+            alone = spectral.spectrum_1d(g)
+            assert np.array_equal(shared.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(shared.phis, alone.phis)
+        # the same sum, in the same order, of separate k = 1 solves
+        alone = float(sum(spectral.spectrum_1d(g, 1).eigenvalues[0] for g in p.grids))
+        assert lam1.hex() == alone.hex()
 
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
     @pytest.mark.parametrize("axes", [["[0,1],2,3"], ["[0,1],2,3", "0,1,2,3"]])
@@ -918,6 +939,40 @@ class TestEnumerateSmall:
         res = enumerate_small(p, box=1000.0, grid_density=41)
         assert res.status is Status.CONVERGED
         assert np.isfinite(np.exp(res.candidates)).all()
+
+    def test_double_root_listed_once(self):
+        # c + u^2 on 0,1,2,3 at c = 1/4 has one root, u = (-1/2, -1/2), where
+        # A + diag(2u) is singular: Newton converges only linearly there, and
+        # its starts stop up to 7e-6 apart, wider than deduplication's 1e-6
+        p = make_problem(["0,1,2,3"], "c + u^2", bindings={"c": 0.25})
+        [sol] = enumerate_small(p, box=100.0, grid_density=400).solutions
+        assert sol.diagnostics["near_singular"]
+        assert np.abs(sol.u.interior + 0.5).max() <= 1e-5
+        # below the fold the two simple roots stay apart and unflagged
+        p = make_problem(["0,1,2,3"], "c + u^2", bindings={"c": 0.24})
+        res = enumerate_small(p, box=100.0, grid_density=400)
+        got = [s.u.interior.ravel() for s in res.solutions]
+        assert np.abs(np.array(got) - [[-0.6, -0.6], [-0.4, -0.4]]).max() <= 1e-12
+        assert not any(s.diagnostics["near_singular"] for s in res.solutions)
+
+    def test_merge_singular(self):
+        # f = u (u^2 - 1)^2 with A = 0: double roots at -1 and 1, a simple one
+        # at 0.  At a distance e from a double root the radius 4|R|/|f'| is
+        # about 2e, so the copies of one root merge, into the nearest
+        A = np.zeros((1, 1))
+
+        def f(u):
+            return u * (u**2 - 1) ** 2
+
+        roots = np.array([[-1 - 3e-6], [-1 + 2e-6], [0.0], [1 - 2e-6], [1 + 3e-6], [1 + 5e-6]])
+        kept, singular = _merge_singular(A, f, roots, 1e-6)
+        assert kept.tolist() == [[-1 + 2e-6], [0.0], [1 - 2e-6]]
+        assert singular.tolist() == [True, False, True]
+        # f' vanishes at 1/sqrt(5), where f does not: a radius that spans the
+        # simple root at 0, which still stays
+        kept, singular = _merge_singular(A, f, np.array([[-(5**-0.5)], [0.0]]), 1e-6)
+        assert kept.tolist() == [[-(5**-0.5)], [0.0]]
+        assert singular.tolist() == [True, False]
 
     def test_start_budget(self):
         p = make_problem(["0,1,2,3"], "u")
