@@ -22,10 +22,7 @@ from .operator import (
     GreenKernel,
     apply,
     assemble,
-    green_inverse,
     tridiag_solve,
-    weighted_inner,
-    weighted_norm,
 )
 from .solver import (
     EnumerationResult,

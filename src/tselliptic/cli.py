@@ -412,7 +412,12 @@ def cmd_greens(args) -> int:
         grid = problem.grids[0]
         op = problem.operators[0]
         f = _read_function_file(args.apply, grid)
-        y = GridFunction.from_interior(grid, op_mod.tridiag_solve(op, f.interior))
+        y = op_mod.tridiag_solve(op, f.interior)
+        if not np.isfinite(y).all():
+            raise ConfigError(
+                f"function file {args.apply} has an inverse that is not finite"
+            )
+        y = GridFunction.from_interior(grid, y)
         t = [_cells(grid.points)]
         if outdir is None:
             sys.stdout.writelines(_grid_rows(t, y.values, "\n"))

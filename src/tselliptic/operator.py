@@ -12,8 +12,9 @@ where an interval meets a scattered gap; there the trapezoid share of the
 last dense cell keeps the scheme second order.  The Green's function
 (t-a)(b-s)/(b-a) (for t <= s) is the inverse of K, so its quadrature
 against the same weights is the *exact* inverse of A on the grid, not a
-discretization of one, and doubles as an independent check on direct
-elimination.
+discretization of one.  G is semiseparable, so that quadrature splits
+into two cumulative sums: :func:`tridiag_solve` applies the inverse in
+O(m) without eliminating the stored matrix.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .timescale import (
-    EmptyInteriorError,
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    product_delta_inner,
-    product_delta_norm,
-)
+from .timescale import EmptyInteriorError, Grid, GridFunction, GridMismatchError
 
 BOUNDARY_TOL = 1e-12
 
@@ -88,12 +81,6 @@ def apply(op: DirichletOperator1D, u: GridFunction) -> GridFunction:
     return GridFunction.from_interior(u.grids, out)
 
 
-# <u, v> = sum of u_i v_i w_i in the grid weights; one implementation for
-# every dimension lives in timescale.
-weighted_inner = product_delta_inner
-weighted_norm = product_delta_norm
-
-
 @dataclass(frozen=True)
 class GreenKernel:
     """Dirichlet Green's function on [a, b]: symmetric, zero on the
@@ -116,32 +103,23 @@ class GreenKernel:
         return (self.b - self.a) / 4.0
 
 
-def green_inverse(op: DirichletOperator1D, f: GridFunction) -> GridFunction:
-    """Invert A by quadrature of the Green's function in the grid weights.
-
-    y(t_i) = sum_j G(t_i, s_j) f(s_j) w_j.  On the grid this reproduces
-    the tridiagonal inverse exactly; it is O(m^2), kept as the reference
-    route against which elimination is checked.
-    """
-    if f.grid != op.grid:
-        raise GridMismatchError("grid function does not match operator grid")
-    pts = op.grid.points
-    G = GreenKernel(pts[0], pts[-1])
-    # G vanishes for s in {a, b} and t in {a, b}
-    w = f.values * op.grid.weights
-    kernel = G(pts[:, None], pts[None, :])
-    y = kernel @ w
-    y[0] = 0.0
-    y[-1] = 0.0
-    return GridFunction(op.grid, y)
-
-
 def tridiag_solve(op: DirichletOperator1D, f: np.ndarray) -> np.ndarray:
-    """Solve Au = f with Dirichlet zeros by banded elimination, on interior values."""
-    ab = np.zeros((3, op.n))
-    ab[0, 1:] = op.sup[:-1]
-    ab[1, :] = op.diag
-    ab[2, :-1] = op.sub[1:]
+    """Solve Au = f with Dirichlet zeros, on interior values, by the Green sums
+
+        y_i = (b - t_i) sum_{j<=i} p_j w_j f_j + (t_i - a) sum_{j>i} q_j w_j f_j
+
+    with p = (t - a)/(b - a) and q = (b - t)/(b - a): the quadrature of
+    :class:`GreenKernel` in the grid weights, in O(m).
+    """
+    pts = op.grid.points
+    a, b, t = pts[0], pts[-1], pts[1:-1]
+    # dividing first keeps the product within the doubles at every scale;
     # callers test for NaN and infinity: the solvers their iterates, and
-    # `greens --apply` its function file
-    return solve_banded((1, 1), ab, f, check_finite=False)
+    # `greens --apply` its result
+    with np.errstate(over="ignore", invalid="ignore"):
+        wf = op.weight * f
+        left = np.cumsum((t - a) / (b - a) * wf)  # the sum over j <= i
+        right = np.cumsum(((b - t) / (b - a) * wf)[::-1])[::-1]  # over j >= i
+        y = (b - t) * left
+        y[:-1] += (t[:-1] - a) * right[1:]
+    return y

@@ -5,9 +5,10 @@ operator equation Au = -F(u), so the fixed-point map iterated here is
 u <- Ainv(-F(u)), on interior arrays: only the result is a grid function.
 One Kronecker-sum function applies A (the dense matrix of a small system
 is A applied to the identity).  Both solvers apply Ainv through one
-function: in 1D A is tridiagonal and Ainv is one O(n) banded elimination;
-in higher dimensions Ainv goes into the product eigenbasis one axis at a
-time and back.  Both are exact in finite dimension.
+function: in 1D Ainv is the Green's function's quadrature, two O(n)
+cumulative sums; in higher dimensions Ainv goes into the product
+eigenbasis one axis at a time and back.  Both are exact in finite
+dimension.
 
 One corrector iterates u <- tau * Ainv(-F(u)) for both solvers (tau = 1 for
 Picard, each tau of the homotopy): plain steps, then Anderson mixing of the
@@ -226,8 +227,8 @@ def spectral_inverse(spectra: Sequence[sp.Spectrum1D], f: np.ndarray) -> np.ndar
 
 
 def _inverse(problem: Problem, f: np.ndarray) -> np.ndarray:
-    """The solvers' Ainv: one banded elimination in 1D, where A is
-    tridiagonal, and the per-axis eigenbasis transform otherwise."""
+    """The solvers' Ainv: the Green sums in 1D, and the per-axis eigenbasis
+    transform otherwise."""
     if problem.n == 1:
         return op_mod.tridiag_solve(problem.operators[0], f)
     return spectral_inverse(problem.spectra, f)

@@ -1,8 +1,12 @@
-"""Shared generators for randomized property tests (fixed seeds)."""
+"""Shared generators for randomized property tests (fixed seeds), and the
+two reference inverses of the 1D operator that the Green sums are checked
+against."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from tselliptic.operator import DirichletOperator1D, GreenKernel
 from tselliptic.timescale import (
     EmptyInteriorError,
     Grid,
@@ -46,6 +50,23 @@ def random_dirichlet(rng: np.random.Generator, grid: Grid) -> GridFunction:
     vals[0] = 0.0
     vals[-1] = 0.0
     return GridFunction(grid, vals)
+
+
+def green_quadrature(op: DirichletOperator1D, f: np.ndarray) -> np.ndarray:
+    """A^-1 f on interior values as the O(m^2) quadrature
+    y_i = sum_j G(t_i, s_j) w_j f_j of the Green's function."""
+    pts = op.grid.points
+    kernel = GreenKernel(pts[0], pts[-1])(pts[1:-1, None], pts[None, 1:-1])
+    return kernel @ (op.weight * f)
+
+
+def banded_solve(op: DirichletOperator1D, f: np.ndarray) -> np.ndarray:
+    """A^-1 f on interior values by banded elimination of the stored matrix."""
+    ab = np.zeros((3, op.n))
+    ab[0, 1:] = op.sup[:-1]
+    ab[1, :] = op.diag
+    ab[2, :-1] = op.sub[1:]
+    return solve_banded((1, 1), ab, f)
 
 
 @pytest.fixture

@@ -479,6 +479,36 @@ class TestGreens:
         assert cli.main(argv) == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "axis, h, L", [("[0,1e140]", 1e138, 1e140), ("[0,1e-80]", 1e-82, 1e-80)]
+    )
+    def test_apply_at_extreme_scales(self, tmp_path, capsys, axis, h, L):
+        # A^-1 1 = t (L - t)/2, which the scheme reproduces up to rounding
+        cfg = write_config(tmp_path, axes=[axis], mesh={"h": h})
+        points = discretize(TimeScale.parse(axis), MeshParams(h=h)).points
+        ffile = tmp_path / "f.csv"
+        ffile.write_text("".join(f"{t!r},1\n" for t in points.tolist()))
+        argv = ["greens", "--config", cfg, "--t", "0", "--s", "0", "--apply", str(ffile)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        t, y = np.array([[float(c) for c in line.split(",")] for line in lines]).T
+        assert np.array_equal(t, points)
+        assert np.abs(y - t * (L - t) / 2).max() <= 2e-15 * L**2 / 8
+
+    def test_apply_non_finite_inverse_exit_3(self, tmp_path, capsys):
+        # f = 1e300 on [0,1e140] weighs 1e438 at each point: beyond the doubles
+        cfg = write_config(tmp_path, axes=["[0,1e140]"], mesh={"h": 1e138})
+        points = discretize(TimeScale.parse("[0,1e140]"), MeshParams(h=1e138)).points
+        ffile = tmp_path / "f.csv"
+        ffile.write_text("".join(f"{t!r},1e300\n" for t in points.tolist()))
+        out = tmp_path / "g"
+        argv = ["greens", "--config", cfg, "--t", "0", "--s", "0", "--apply", str(ffile)]
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout.count("\n") == 1 and stdout.startswith("G(0,0) = ")
+        assert err == f"config error: function file {ffile} has an inverse that is not finite\n"
+        assert list(out.iterdir()) == []
+
 
 class TestReproduce:
     @pytest.mark.parametrize(

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from tselliptic.operator import (
-    GreenKernel,
-    apply,
-    assemble,
-    green_inverse,
-    tridiag_solve,
-    weighted_inner,
-)
+from tselliptic.operator import GreenKernel, apply, assemble, tridiag_solve
 from tselliptic.timescale import (
     EmptyInteriorError,
     Grid,
@@ -17,9 +10,10 @@ from tselliptic.timescale import (
     MeshParams,
     TimeScale,
     discretize,
+    product_delta_inner,
 )
 
-from conftest import random_dirichlet, random_grid
+from conftest import banded_solve, green_quadrature, random_dirichlet, random_grid
 
 G4 = discretize(TimeScale.parse("0,1,2,3"))
 PHI1 = GridFunction(G4, [0.0, 2**-0.5, 2**-0.5, 0.0])
@@ -93,29 +87,28 @@ class TestApply:
         with pytest.raises(ValueError, match="boundary values must vanish"):
             apply(assemble(G4), GridFunction(G4, [np.nan, 1.0, 1.0, 0.0]))
 
-    @pytest.mark.parametrize("route", [apply, green_inverse])
-    def test_other_grid_rejected(self, route):
+    def test_other_grid_rejected(self):
         other = discretize(TimeScale.parse("0,1,2,3,4"))
         with pytest.raises(GridMismatchError, match="does not match operator grid"):
-            route(assemble(G4), GridFunction.zeros(other))
+            apply(assemble(G4), GridFunction.zeros(other))
 
 
 class TestWeightedInner:
     def test_normalized_eigenfunction(self):
-        assert weighted_inner(PHI1, PHI1) == pytest.approx(1.0, abs=1e-15)
+        assert product_delta_inner(PHI1, PHI1) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonality(self):
-        assert abs(weighted_inner(PHI1, PHI2)) <= 1e-12
+        assert abs(product_delta_inner(PHI1, PHI2)) <= 1e-12
 
     def test_constant(self):
         g = discretize(TimeScale.parse("[0,3]"), MeshParams(h=0.25))
         one = GridFunction(g, np.ones(len(g.points)))
-        assert weighted_inner(one, one) == pytest.approx(3.0, abs=1e-13)
+        assert product_delta_inner(one, one) == pytest.approx(3.0, abs=1e-13)
 
     def test_mismatch(self):
         g2 = discretize(TimeScale.parse("5,7,10"))
         with pytest.raises(GridMismatchError):
-            weighted_inner(PHI1, GridFunction.zeros(g2))
+            product_delta_inner(PHI1, GridFunction.zeros(g2))
 
     def test_same_points_other_weights_mismatch(self):
         # the grid of "[0,1],2,3" at h = 0.5 and the discrete scale of its
@@ -124,7 +117,7 @@ class TestWeightedInner:
         g2 = discretize(TimeScale.parse("0,0.5,1,2,3"))
         assert np.array_equal(g1.points, g2.points)
         with pytest.raises(GridMismatchError):
-            weighted_inner(GridFunction.zeros(g1), GridFunction.zeros(g2))
+            product_delta_inner(GridFunction.zeros(g1), GridFunction.zeros(g2))
 
 
 class TestGreenKernel:
@@ -152,16 +145,14 @@ class TestGreenKernel:
 class TestInverses:
     def test_unit_grid_example(self):
         op = assemble(G4)
-        f = GridFunction(G4, [0.0, 1.0, 0.0, 0.0])
-        y = green_inverse(op, f)
-        assert np.allclose(y.values, [0, 2 / 3, 1 / 3, 0], rtol=0, atol=1e-14)
-        yt = tridiag_solve(op, f.interior)
-        assert np.allclose(yt, y.interior, rtol=0, atol=1e-12)
+        f = np.array([1.0, 0.0])
+        y = tridiag_solve(op, f)
+        assert np.allclose(y, [2 / 3, 1 / 3], rtol=0, atol=1e-14)
+        assert np.allclose(banded_solve(op, f), y, rtol=0, atol=1e-12)
 
     def test_zero(self):
         op = assemble(G4)
-        y = green_inverse(op, GridFunction.zeros(G4))
-        assert np.array_equal(y.values, np.zeros(4))
+        assert np.array_equal(tridiag_solve(op, np.zeros(2)), np.zeros(2))
 
     def test_continuous_ode_limit(self):
         # -y'' = c on [0, 3] has y = c t (3 - t) / 2; the grid solution
@@ -182,22 +173,48 @@ class TestInverses:
         for _ in range(50):
             g = random_grid(rng)
             op = assemble(g)
-            f = random_dirichlet(rng, g)
-            yg = green_inverse(op, f)
-            yt = tridiag_solve(op, f.interior)
-            scale = 1.0 + np.abs(yt).max()
-            assert np.abs(yg.interior - yt).max() <= 1e-10 * scale
+            f = random_dirichlet(rng, g).interior
+            y = tridiag_solve(op, f)
+            scale = 1.0 + np.abs(y).max()
+            for oracle in (green_quadrature, banded_solve):
+                assert np.abs(oracle(op, f) - y).max() <= 1e-10 * scale
+
+    def test_unit_load_fine_mesh(self):
+        # Au = 1 on [0,1] has the quadratic t (1 - t)/2, which the scheme
+        # reproduces exactly; at h = 1e-4 only rounding remains
+        g = discretize(TimeScale.parse("[0,1]"), MeshParams(h=1e-4))
+        y = tridiag_solve(assemble(g), np.ones(len(g.points) - 2))
+        t = g.points[1:-1]
+        assert np.abs(y - t * (1 - t) / 2).max() <= 1e-14 / 8
+
+    def test_matches_quadrature_at_every_scale(self, rng):
+        # the rounding of the sums is bounded componentwise by a multiple
+        # of eps (A^-1 |f|)_i; banded elimination of the stored matrix
+        # misses this bound for f = 1 on the 2,001-point grids
+        grids = [random_grid(rng) for _ in range(50)] + [
+            discretize(TimeScale.parse(ts), MeshParams(h=h))
+            for ts, h in (("[0,1e5]", 50.0), ("[0,1e-80]", 5e-84))
+        ]
+        for g in grids:
+            op = assemble(g)
+            for f in (rng.standard_normal(op.n), np.ones(op.n)):
+                ref = green_quadrature(op, f)
+                bound = 1e-13 * green_quadrature(op, np.abs(f))
+                assert (np.abs(tridiag_solve(op, f) - ref) <= bound).all()
 
     def test_roundtrips(self, rng):
         for _ in range(50):
             g = random_grid(rng)
             op = assemble(g)
             u = random_dirichlet(rng, g)
-            back = green_inverse(op, apply(op, u))
+            back = GridFunction.from_interior(
+                u.grids, tridiag_solve(op, apply(op, u).interior)
+            )
             scale = 1.0 + np.abs(u.values).max()
             assert np.abs(back.values - u.values).max() <= 1e-10 * scale
             f = random_dirichlet(rng, g)
-            forward = apply(op, green_inverse(op, f))
+            y = GridFunction.from_interior(f.grids, tridiag_solve(op, f.interior))
+            forward = apply(op, y)
             scale = 1.0 + np.abs(f.values).max()
             assert np.abs(forward.values[1:-1] - f.values[1:-1]).max() <= 1e-10 * scale
 
@@ -209,8 +226,8 @@ class TestSelfAdjointness:
             op = assemble(g)
             y = random_dirichlet(rng, g)
             z = random_dirichlet(rng, g)
-            ay_z = weighted_inner(apply(op, y), z)
-            y_az = weighted_inner(y, apply(op, z))
+            ay_z = product_delta_inner(apply(op, y), z)
+            y_az = product_delta_inner(y, apply(op, z))
             assert abs(ay_z - y_az) <= 1e-10 * (1.0 + abs(ay_z))
 
     def test_positivity_identity_100_random(self, rng):
@@ -219,7 +236,7 @@ class TestSelfAdjointness:
             g = random_grid(rng)
             op = assemble(g)
             y = random_dirichlet(rng, g)
-            lhs = weighted_inner(apply(op, y), y)
+            lhs = product_delta_inner(apply(op, y), y)
             dy = np.diff(y.values) / g.mu
             rhs = float(np.dot(dy**2, g.mu))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))

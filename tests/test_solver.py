@@ -7,6 +7,7 @@ import pytest
 from tselliptic import nonlinearity as nl
 from tselliptic import solver, spectral
 from tselliptic.nonlinearity import GrowthHypotheses, parse
+from tselliptic.operator import tridiag_solve
 from tselliptic.solver import (
     HypothesisError,
     Problem,
@@ -54,8 +55,10 @@ def make_problem(axes, f_text, bindings=None, mesh=None, hyp=None, config=None):
 class TestSpectralInverse:
     def test_matches_green_inverse_1d(self):
         p = make_problem(["0,1,2,3"], "0")
-        u = spectral_inverse(p.spectra, np.array([1.0, 0.0]))
+        f = np.array([1.0, 0.0])
+        u = spectral_inverse(p.spectra, f)
         assert np.allclose(u, [2 / 3, 1 / 3], atol=1e-13)
+        assert np.allclose(u, tridiag_solve(p.operators[0], f), atol=1e-13)
 
     def test_eigenfunction_scaling(self):
         p = make_problem(["0,1,2,3", "0,1,2,3"], "0")
@@ -122,7 +125,7 @@ class TestSpectralInverse:
     @pytest.mark.parametrize("solve", [picard_solve, homotopy_solve])
     @pytest.mark.parametrize("axes", [["[0,1],2,3"], ["[0,1],2,3", "0,1,2,3"]])
     def test_only_nd_solves_build_the_eigenbasis(self, solve, axes):
-        # in 1D the solvers invert by banded elimination
+        # in 1D the solvers invert by the Green sums
         p = make_problem(
             axes, "0.3*sin(u) + 1 + x1", mesh=MeshParams(h=1e-2),
             hyp=GrowthHypotheses(L=0.3, alpha=0.5, cbound=10.0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tselliptic.nonlinearity import nemytskii, parse
-from tselliptic.operator import assemble, tridiag_solve, weighted_inner
+from tselliptic.operator import assemble, tridiag_solve
 from tselliptic.solver import spectral_inverse
 from tselliptic.spectral import spectrum_1d
 from tselliptic.timescale import (
@@ -423,7 +423,7 @@ class TestOneAxisProduct:
             assert p.grid is g
             assert np.array_equal(p.values, u.values)
             v = GridFunction(g, rng.standard_normal(len(g.points)))
-            assert weighted_inner(u, v) == product_delta_inner(p, v)
+            assert product_delta_inner(u, v) == product_delta_inner(p, v)
             Fu = nemytskii(f, (g,), u)
             assert np.array_equal(Fu.values, u.values**3 - g.points)
             y = spectral_inverse([spectrum_1d(g)], u.interior)
